@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"activemem/internal/dist"
 	"activemem/internal/engine"
@@ -123,6 +124,11 @@ func (c CapacityCalibration) AvailableBytes() []float64 {
 // experiments scheduled on the configured executor's bounded pool; results
 // are written by index so the outcome is deterministic regardless of
 // scheduling, and memoized so identical cells simulate once per executor.
+//
+// Eq. 4's Σ F² term depends only on the buffer and the pattern, not on the
+// CSThr count, so each call keeps one table of it: the first cell of a
+// (buffer, pattern) pair computes the entry on its worker, and every other
+// k reuses it.
 func CalibrateCapacity(cfg CalibrationConfig) (CapacityCalibration, error) {
 	if err := cfg.Validate(); err != nil {
 		return CapacityCalibration{}, err
@@ -135,6 +141,7 @@ func CalibrateCapacity(cfg CalibrationConfig) (CapacityCalibration, error) {
 		k, bi, di int
 	}
 	var cells []cell
+	sumSqs := make([]sumSqEntry, len(cfg.BufferBytes)*len(cfg.Dists))
 	for k := 0; k <= cfg.MaxThreads; k++ {
 		cal.Points[k] = CapacityPoint{
 			Threads: k,
@@ -149,11 +156,12 @@ func CalibrateCapacity(cfg CalibrationConfig) (CapacityCalibration, error) {
 	err := ex.RunLabeled(fmt.Sprintf("§III-C3 capacity grid c=%d, k=0..%d",
 		cfg.ComputePerLoad, cfg.MaxThreads), len(cells), func(idx int) error {
 		c := cells[idx]
-		sample, err := cfg.runOne(ex, c.k, cfg.BufferBytes[c.bi], cfg.Dists[c.di])
+		pair := c.bi*len(cfg.Dists) + c.di
+		sample, err := cfg.runOne(ex, c.k, cfg.BufferBytes[c.bi], cfg.Dists[c.di], &sumSqs[pair])
 		if err != nil {
 			return err
 		}
-		cal.Points[c.k].Samples[c.bi*len(cfg.Dists)+c.di] = sample
+		cal.Points[c.k].Samples[pair] = sample
 		return nil
 	})
 	if err != nil {
@@ -169,8 +177,16 @@ func CalibrateCapacity(cfg CalibrationConfig) (CapacityCalibration, error) {
 	return cal, nil
 }
 
+// sumSqEntry is one (buffer, pattern) pair's Σ F² term, filled once by the
+// first cell of the pair that needs it.
+type sumSqEntry struct {
+	once sync.Once
+	v    float64
+}
+
 // runOne measures one calibration cell through the executor's memo cache.
-func (cfg CalibrationConfig) runOne(ex *lab.Executor, k int, bufBytes int64, mk func(n int64) dist.Dist) (CapacitySample, error) {
+// sumSq is the cell's (buffer, pattern) entry of the Σ F² table.
+func (cfg CalibrationConfig) runOne(ex *lab.Executor, k int, bufBytes int64, mk func(n int64) dist.Dist, sumSq *sumSqEntry) (CapacitySample, error) {
 	d := mk(bufBytes / cfg.ElemSize)
 	app := func(alloc *mem.Alloc, seed uint64) engine.Workload {
 		return synthetic.New(synthetic.Config{
@@ -188,8 +204,8 @@ func (cfg CalibrationConfig) runOne(ex *lab.Executor, k int, bufBytes int64, mk 
 		return CapacitySample{}, err
 	}
 	lineSize := cfg.Spec.LineSize()
-	sumSq := dist.SumSquaredLineMass(d, lineSize/cfg.ElemSize)
-	lines, err := model.InvertCapacity(m.L3MissRate, sumSq)
+	sumSq.once.Do(func() { sumSq.v = dist.SumSquaredLineMass(d, lineSize/cfg.ElemSize) })
+	lines, err := model.InvertCapacity(m.L3MissRate, sumSq.v)
 	if err != nil {
 		return CapacitySample{}, err
 	}
@@ -198,7 +214,7 @@ func (cfg CalibrationConfig) runOne(ex *lab.Executor, k int, bufBytes int64, mk 
 		BufferBytes:    bufBytes,
 		DistName:       d.Name(),
 		MeasuredMiss:   m.L3MissRate,
-		PredictedMiss:  model.MissRate(physLines, sumSq),
+		PredictedMiss:  model.MissRate(physLines, sumSq.v),
 		EffectiveBytes: lines * float64(lineSize),
 	}, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"activemem/internal/dist"
@@ -187,6 +188,64 @@ func TestCalibrationParallelMatchesSerial(t *testing.T) {
 	ser, par := mk(1), mk(8)
 	if !reflect.DeepEqual(ser, par) {
 		t.Fatalf("parallel calibration diverges from serial:\n%+v\n%+v", ser, par)
+	}
+}
+
+// countingDist counts every CDF evaluation of the pattern it wraps, which is
+// the work of a Σ F² line sweep.
+type countingDist struct {
+	dist.Dist
+	cdfs *atomic.Int64
+}
+
+func (d countingDist) CDF(x int64) float64 {
+	d.cdfs.Add(1)
+	return d.Dist.CDF(x)
+}
+
+// TestSumSquaredOncePerPair proves the calibration evaluates Eq. 4's Σ F²
+// term once per (buffer, pattern), however many CSThr counts share the
+// pair and however many workers run the grid, and that the table does not
+// make the result depend on the pool width.
+func TestSumSquaredOncePerPair(t *testing.T) {
+	spec := machine.Scaled(8)
+	bufs := []int64{spec.L3.Size * 2, spec.L3.Size*3 + 4096}
+	var cdfs atomic.Int64
+	counted := func(mk func(n int64) dist.Dist) func(n int64) dist.Dist {
+		return func(n int64) dist.Dist { return countingDist{mk(n), &cdfs} }
+	}
+	table2 := Table2Constructors()
+	dists := []func(n int64) dist.Dist{counted(table2[0]), counted(table2[3])}
+	const elemSize = 4
+	var oneSweep int64
+	for _, b := range bufs {
+		oneSweep += int64(len(dists)) * dist.NumLines(dist.NewUniform(b/elemSize), spec.LineSize()/elemSize)
+	}
+	run := func(maxThreads, workers int) (CapacityCalibration, int64) {
+		cdfs.Store(0)
+		cal, err := CalibrateCapacity(CalibrationConfig{
+			MeasureConfig:  MeasureConfig{Spec: spec, Warmup: 20_000, Window: 10_000, Seed: 1},
+			MaxThreads:     maxThreads,
+			BufferBytes:    bufs,
+			Dists:          dists,
+			ComputePerLoad: 1,
+			ElemSize:       elemSize,
+			Exec:           lab.New(lab.Config{Workers: workers}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cal, cdfs.Load()
+	}
+	_, k0 := run(0, 2)
+	ser, k3 := run(3, 1)
+	par, k3par := run(3, 2)
+	if k0 != oneSweep || k3 != oneSweep || k3par != oneSweep {
+		t.Fatalf("CDF evaluations: k=0..0 %d, k=0..3 serial %d, k=0..3 on 2 workers %d; want %d each (one line sweep per pair)",
+			k0, k3, k3par, oneSweep)
+	}
+	if !reflect.DeepEqual(ser, par) {
+		t.Fatalf("calibration differs between 1 and 2 workers:\n%+v\n%+v", ser, par)
 	}
 }
 

@@ -6,6 +6,11 @@
 // resource reduction per interference thread (§III-A, §III-C3), derives
 // per-process resource-use bounds (§IV), and predicts performance under
 // hypothetical resource budgets (§I).
+//
+// The §III-C3 calibration inverts each measured miss rate through Eq. 4.
+// Its Σ F² term is computed once per (buffer, pattern) per
+// CalibrateCapacity call, in an allocation-free sweep of the pattern's CDF,
+// and shared by every CSThr count of that pair.
 package core
 
 import (

@@ -8,6 +8,11 @@
 // deterministic xrand generator. Line masses are therefore analytic (CDF
 // differences at line boundaries), not estimated, which is what lets the
 // model tests compare the simulator against Eq. 4 with tight tolerances.
+//
+// Eq. 4 needs only Σ_j F(j)², which depends on the buffer and the pattern
+// alone. SumSquaredLineMass computes it in one CDF sweep without
+// allocating, and core.CalibrateCapacity evaluates it once per (buffer,
+// pattern) per calibration, not once per cell.
 package dist
 
 import (
@@ -65,11 +70,22 @@ func LineMasses(d Dist, elemsPerLine int64) []float64 {
 }
 
 // SumSquaredLineMass returns the Σ_j F(j)² term of Eq. 4 for the
-// distribution at the given line geometry.
+// distribution at the given line geometry. It streams the line masses in
+// LineMasses' order with the same float operations, so the result is
+// bit-identical to summing f*f over LineMasses, and it allocates nothing.
 func SumSquaredLineMass(d Dist, elemsPerLine int64) float64 {
-	sum := 0.0
-	for _, f := range LineMasses(d, elemsPerLine) {
+	lines := NumLines(d, elemsPerLine)
+	n := d.N()
+	sum, prev := 0.0, 0.0
+	for j := int64(0); j < lines; j++ {
+		end := (j + 1) * elemsPerLine
+		if end > n {
+			end = n
+		}
+		c := d.CDF(end)
+		f := c - prev
 		sum += f * f
+		prev = c
 	}
 	return sum
 }

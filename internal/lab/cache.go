@@ -276,11 +276,10 @@ func OpenCacheSized(dir string, hotBytes int64) (*store.Store, error) {
 }
 
 // CacheSummary renders the memo counters in the machine-readable form the
-// CLIs print (and CI's resume-smoke step parses) when a cache directory is
-// configured: every Do call was either computed, served from the
-// in-process memo, or served from a cache tier. The line's original
-// key set is stable for CI; remote_hits rides at the end so older
-// parsers that walk key=value pairs keep working.
+// CLIs print (and CI's resume-smoke step parses): every Do call was either
+// computed, served from the in-process memo, or served from a cache tier.
+// The line's original key set is stable for CI; remote_hits rides at the
+// end so older parsers that walk key=value pairs keep working.
 func (e *Executor) CacheSummary() string {
 	st := e.Stats()
 	s := fmt.Sprintf("cache: computed=%d disk_hits=%d hot_hits=%d mem_hits=%d persisted=%d",
@@ -312,13 +311,12 @@ func (e *Executor) StoreOpsSummary() string {
 		c.Gets, c.Puts, c.HotHits, c.SnapshotHits, c.SlowGets, c.GroupCommits, c.GroupedAppends)
 }
 
-// PrintCacheSummary writes the cache epilogue every CLI prints to w, or
-// nothing when no cache tier is attached. The "cache:" line is parsed by
-// CI's resume-smoke step — new facts go on their own lines after it.
+// PrintCacheSummary writes the cache epilogue every CLI prints to w. The
+// "cache:" line, the memo and compute mix, is always printed; the store and
+// remote lines follow when those tiers are attached. The "cache:" line is
+// parsed by CI's resume-smoke step — new facts go on their own lines after
+// it.
 func (e *Executor) PrintCacheSummary(w io.Writer) {
-	if e.cache == nil && e.remote == nil {
-		return
-	}
 	if e.cache != nil {
 		fmt.Fprintf(w, "%s entries=%d dir=%s\n", e.CacheSummary(), e.cache.Len(), e.cache.Dir())
 		fmt.Fprintf(w, "%s\n", e.StoreOpsSummary())

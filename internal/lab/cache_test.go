@@ -365,6 +365,24 @@ func TestCacheSummaryReportsTiers(t *testing.T) {
 	}
 }
 
+// TestPrintCacheSummaryWithoutTiers pins the epilogue of an executor with
+// no cache tier: the memo and compute mix is still printed, in the key
+// order CI parses, and no store or remote line follows.
+func TestPrintCacheSummaryWithoutTiers(t *testing.T) {
+	e := New(Config{})
+	for i := 0; i < 2; i++ {
+		if _, err := Memo(e, KeyOf("s"), func() (int, error) { return 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	e.PrintCacheSummary(&b)
+	want := "cache: computed=1 disk_hits=0 hot_hits=0 mem_hits=1 persisted=0\n"
+	if b.String() != want {
+		t.Fatalf("PrintCacheSummary = %q, want %q", b.String(), want)
+	}
+}
+
 // TestHotBytesFromEnv pins the ACTIVEMEM_CACHE_MEM contract.
 func TestHotBytesFromEnv(t *testing.T) {
 	t.Setenv("ACTIVEMEM_CACHE_MEM", "")

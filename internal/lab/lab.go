@@ -619,24 +619,37 @@ func (e *Executor) Stats() Stats {
 
 // StderrProgress returns a Progress callback that renders a per-batch
 // "label: done/total" meter on stderr, or nil when enabled is false. It is
-// the shared implementation behind the CLIs' -progress flag. The done = -1
-// abort signal terminates the meter line so a following error message
-// starts on a fresh line.
+// the shared implementation behind the CLIs' -progress flag.
 func StderrProgress(enabled bool) func(label string, done, total int) {
 	if !enabled {
 		return nil
 	}
+	return fileProgress(os.Stderr)
+}
+
+// fileProgress renders progress on f. On a terminal each batch is one meter
+// line rewritten in place with \r, and the done = -1 abort signal
+// terminates it so a following error message starts on a fresh line.
+// Anywhere else (a pipe, a file, a CI log) every update is its own line.
+func fileProgress(f *os.File) func(label string, done, total int) {
+	fi, err := f.Stat()
+	tty := err == nil && fi.Mode()&os.ModeCharDevice != 0
 	return func(label string, done, total int) {
-		if done < 0 {
-			fmt.Fprintln(os.Stderr)
-			return
-		}
 		if label == "" {
 			label = "experiment batch"
 		}
-		fmt.Fprintf(os.Stderr, "\r  %s: %d/%d", label, done, total)
-		if done == total {
-			fmt.Fprintln(os.Stderr)
+		switch {
+		case done < 0:
+			if tty {
+				fmt.Fprintln(f)
+			}
+		case !tty:
+			fmt.Fprintf(f, "  %s: %d/%d\n", label, done, total)
+		default:
+			fmt.Fprintf(f, "\r  %s: %d/%d", label, done, total)
+			if done == total {
+				fmt.Fprintln(f)
+			}
 		}
 	}
 }

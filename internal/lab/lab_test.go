@@ -3,6 +3,8 @@ package lab
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -165,6 +167,39 @@ func TestProgressCallback(t *testing.T) {
 		if d != i+1 {
 			t.Fatalf("progress sequence out of order: %v", seen)
 		}
+	}
+}
+
+// TestProgressLinesOffTerminal pins the -progress meter's form on a pipe,
+// as in a redirected or CI log: one "label: done/total" line per update,
+// no carriage returns, and nothing extra for the abort signal.
+func TestProgressLinesOffTerminal(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	e := New(Config{Workers: 1, Progress: fileProgress(w)})
+	if err := e.RunLabeled("grid", 2, func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := e.Run(3, func(i int) error {
+		if i == 1 {
+			return boom
+		}
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "  grid: 1/2\n  grid: 2/2\n  experiment batch: 1/3\n"
+	if string(out) != want {
+		t.Fatalf("progress on a pipe = %q, want %q", out, want)
 	}
 }
 
