@@ -257,7 +257,8 @@ func measureWindows(m Machine) (warmup, window units.Cycles) {
 // deduplicates the shared uninterfered baseline across the sweeps.
 func MeasureProfile(m Machine, name string, app WorkloadFactory, opts *MeasureOptions) (Profile, error) {
 	o := opts.defaults()
-	cache, err := lab.OpenCache(o.CacheDir)
+	// No hot set: the executor's memo already serves every repeated key.
+	cache, err := lab.OpenCacheSized(o.CacheDir, 0)
 	if err != nil {
 		return Profile{}, err
 	}

@@ -9,8 +9,8 @@
 //	activemem [-workload uniform|norm4|norm8|exp4|pchase] [-buf BYTES]
 //	          [-compute N] [-scale N] [-threshold F] [-j N] [-progress]
 //	          [-predict-l3 MB] [-predict-bw GBS] [-seed N]
-//	          [-cache-dir DIR] [-cache-mem BYTES] [-cache-url URL]
-//	          [-worker-of URL] [-knee F] [-knee-patience M]
+//	          [-cache-dir DIR] [-cache-url URL] [-worker-of URL]
+//	          [-knee F] [-knee-patience M] [-telemetry ADDR]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // -knee switches the interference sweeps to adaptive mode: levels run in
@@ -31,11 +31,9 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"activemem/internal/core"
 	"activemem/internal/dist"
@@ -43,7 +41,6 @@ import (
 	"activemem/internal/lab"
 	"activemem/internal/machine"
 	"activemem/internal/mem"
-	"activemem/internal/prof"
 	"activemem/internal/report"
 	"activemem/internal/units"
 	"activemem/internal/workload/interfere"
@@ -63,26 +60,11 @@ func main() {
 		predictL3 = flag.Float64("predict-l3", 0, "predict slowdown with this much L3 (MB, 0 = skip)")
 		predictBW = flag.Float64("predict-bw", 0, "predict slowdown with this much bandwidth (GB/s)")
 		seed      = flag.Uint64("seed", 1, "experiment seed")
-		jobs      = flag.Int("j", 0, "parallel experiment cells (0 = all CPUs, 1 = serial)")
-		progress  = flag.Bool("progress", false, "report per-batch experiment progress on stderr")
-		cacheDir  = flag.String("cache-dir", os.Getenv("ACTIVEMEM_CACHE_DIR"),
-			"persist results to this on-disk store and resume from it (default $ACTIVEMEM_CACHE_DIR)")
-		cacheMem = flag.Int64("cache-mem", -1,
-			"in-memory hot-set budget for the cache in bytes, 0 to disable (default $ACTIVEMEM_CACHE_MEM or 64MiB)")
-		cacheURL = flag.String("cache-url", os.Getenv("ACTIVEMEM_CACHE_URL"),
-			"also consult a labcached server at this URL as a best-effort remote tier (default $ACTIVEMEM_CACHE_URL)")
-		workerOf = flag.String("worker-of", os.Getenv("ACTIVEMEM_FLEET_URL"),
-			"run as one worker of the fleet coordinator at this URL (default $ACTIVEMEM_FLEET_URL); implies -cache-url there unless set")
-		knee     = flag.Float64("knee", 0, "adaptive sweeps: stop past this slowdown threshold (0 = measure every level)")
-		patience = flag.Int("knee-patience", 2, "consecutive over-threshold levels that stop an adaptive sweep")
+		knee      = flag.Float64("knee", 0, "adaptive sweeps: stop past this slowdown threshold (0 = measure every level)")
+		patience  = flag.Int("knee-patience", 2, "consecutive over-threshold levels that stop an adaptive sweep")
 	)
-	profFlags := prof.RegisterFlags()
-	telemetryAddr := lab.RegisterTelemetryFlag()
+	campaign := lab.RegisterCampaignFlags()
 	flag.Parse()
-
-	stopProf, err := profFlags.Start()
-	check(err)
-	defer stopProf()
 
 	// An adaptive sweep must measure at least as deep as the profile's
 	// knee search looks: a sweep stopped at a shallower slowdown would
@@ -92,58 +74,19 @@ func main() {
 		log.Printf("warning: -knee %g is below -threshold %g; using %g", *knee, *threshold, *threshold)
 		*knee = *threshold
 	}
-
-	if *cacheMem < 0 {
-		*cacheMem = lab.HotBytesFromEnv()
-	}
-	cache, err := lab.OpenCacheSized(*cacheDir, *cacheMem)
-	check(err)
-	if cache != nil {
-		defer cache.Close()
-	}
-	// A fleet worker publishes results through the shared cache its peers
-	// read from; the coordinator address doubles as that cache unless the
-	// operator split them explicitly (labcached -coord serves both).
-	if *workerOf != "" && *cacheURL == "" {
-		*cacheURL = *workerOf
-	}
-	rc, err := lab.OpenRemote(*cacheURL)
-	check(err)
-	defer rc.Close()
-	fc, err := lab.OpenFleet(*workerOf)
-	check(err)
-	if fc != nil {
-		defer fc.Close()
-	}
-	ex := lab.New(lab.Config{Workers: *jobs, Progress: lab.StderrProgress(*progress),
-		Cache: cache, Remote: rc, Fleet: fc})
-	defer ex.Close()
-	stopSignals := lab.NotifyShutdown(ex, os.Stderr)
-	defer stopSignals()
-	// The fatal path (check) bypasses the defers above; drain and sync the
-	// tiers there too, so even an interrupted or failed campaign leaves its
-	// finished cells checkpointed rather than waiting on log replay.
-	cleanup = func() {
-		ex.Close()
-		ex.PrintCacheSummary(os.Stderr)
-		if fc != nil {
-			fc.Close()
-		}
-		rc.Close()
-		if cache != nil {
-			cache.Close()
-		}
-	}
-	stopTelemetry, err := lab.StartTelemetry(*telemetryAddr, ex, os.Stderr)
-	check(err)
-	defer stopTelemetry()
 	spec := machine.Scaled(*scale)
 	if *buf == 0 {
 		*buf = spec.L3.Size * 2
 	}
+	factory, name, err := buildWorkload(*workload, *buf, *compute, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	c := campaign.Start()
+	ex := c.Exec
 	fmt.Println(spec.TableI())
 
-	factory, name := buildWorkload(*workload, *buf, *compute, spec)
 	cfg := core.MeasureConfig{
 		Spec:   spec,
 		Warmup: 30_000_000 * units.Cycles(8/clampScale(*scale)),
@@ -158,15 +101,15 @@ func main() {
 		MeasureConfig: cfg, Kind: core.Storage, MaxThreads: 5, Exec: ex,
 		Knee: *knee, KneePatience: *patience,
 	}, name, factory)
-	check(err)
+	c.Check(err)
 	bandwidth, err := core.RunSweep(core.SweepConfig{
 		MeasureConfig: cfg, Kind: core.Bandwidth, MaxThreads: 2, Exec: ex,
 		Knee: *knee, KneePatience: *patience,
 	}, name, factory)
-	check(err)
+	c.Check(err)
 
-	printSweep("storage interference (CSThr)", storage)
-	printSweep("bandwidth interference (BWThr)", bandwidth)
+	printSweep("storage interference (CSThr)", storage, *threshold)
+	printSweep("bandwidth interference (BWThr)", bandwidth, *threshold)
 
 	// Availability tables for the profile.
 	bufs, _ := core.DefaultCalibrationGrid(spec, 2)
@@ -176,15 +119,15 @@ func main() {
 		Dists:          []func(int64) dist.Dist{ds[9]},
 		ComputePerLoad: 1, ElemSize: 4, Exec: ex,
 	})
-	check(err)
+	c.Check(err)
 	bwCal, err := core.CalibrateBandwidth(core.MeasureConfig{
 		Spec: spec, Warmup: 2_000_000, Window: 6_000_000, Seed: *seed,
 	}, 2, interfere.BWConfig{}, ex)
-	check(err)
+	c.Check(err)
 
 	prof, err := core.BuildProfile(name, 1, *threshold,
 		storage, capCal.AvailableBytes(), bandwidth, bwCal.AvailableGBs)
-	check(err)
+	c.Check(err)
 	fmt.Println(prof.String())
 
 	if *predictL3 > 0 || *predictBW > 0 {
@@ -200,10 +143,7 @@ func main() {
 		fmt.Printf("predicted slowdown with %.2f MB L3 and %.2f GB/s: %.1f%%\n",
 			l3/float64(units.MB), bw, s*100)
 	}
-	ex.PrintCacheSummary(os.Stderr)
-	if *progress {
-		ex.PrintPoolSummary(os.Stderr)
-	}
+	c.Finish()
 }
 
 func clampScale(s int) units.Cycles {
@@ -216,7 +156,7 @@ func clampScale(s int) units.Cycles {
 	return units.Cycles(s)
 }
 
-func buildWorkload(kind string, buf int64, compute int, spec machine.Spec) (core.WorkloadFactory, string) {
+func buildWorkload(kind string, buf int64, compute int, spec machine.Spec) (core.WorkloadFactory, string, error) {
 	mkDist := func(mk func(int64) dist.Dist) core.WorkloadFactory {
 		return func(alloc *mem.Alloc, seed uint64) engine.Workload {
 			return synthetic.New(synthetic.Config{
@@ -226,51 +166,32 @@ func buildWorkload(kind string, buf int64, compute int, spec machine.Spec) (core
 	}
 	switch kind {
 	case "uniform":
-		return mkDist(func(n int64) dist.Dist { return dist.NewUniform(n) }), "uniform"
+		return mkDist(func(n int64) dist.Dist { return dist.NewUniform(n) }), "uniform", nil
 	case "norm4":
-		return mkDist(func(n int64) dist.Dist { return dist.NewNormal(n, 4) }), "norm4"
+		return mkDist(func(n int64) dist.Dist { return dist.NewNormal(n, 4) }), "norm4", nil
 	case "norm8":
-		return mkDist(func(n int64) dist.Dist { return dist.NewNormal(n, 8) }), "norm8"
+		return mkDist(func(n int64) dist.Dist { return dist.NewNormal(n, 8) }), "norm8", nil
 	case "exp4":
-		return mkDist(func(n int64) dist.Dist { return dist.NewExponential(n, 4) }), "exp4"
+		return mkDist(func(n int64) dist.Dist { return dist.NewExponential(n, 4) }), "exp4", nil
 	case "pchase":
 		return func(alloc *mem.Alloc, seed uint64) engine.Workload {
 			return pchase.New(pchase.Config{
 				BufBytes: buf, LineSize: spec.LineSize(), Seed: seed,
 			}, alloc)
-		}, "pchase"
+		}, "pchase", nil
 	default:
-		log.Fatalf("unknown workload %q", kind)
-		return nil, ""
+		return nil, "", fmt.Errorf("unknown workload %q", kind)
 	}
 }
 
-func printSweep(title string, s core.Sweep) {
+func printSweep(title string, s core.Sweep, threshold float64) {
 	t := report.NewTable(title, "threads", "work/s", "slowdown", "app L3 miss", "app GB/s", "bus util")
 	sl := s.Slowdowns()
 	for k, p := range s.Points {
 		t.Addf(k, p.Rate, fmt.Sprintf("%+.1f%%", sl[k]*100), p.L3MissRate, p.AppGBs, p.BusUtil)
 	}
 	fmt.Println(t.String())
-	lastOK, firstDeg := s.Knee(0.05)
+	lastOK, firstDeg := s.Knee(threshold)
 	fmt.Printf("  knee: no degradation through %d threads; first degradation at %d\n\n",
 		lastOK, firstDeg)
-}
-
-// cleanup, when set, drains the executor and syncs the cache tiers; the
-// fatal exits below run it because log.Fatal/os.Exit skip the defers.
-var cleanup func()
-
-func check(err error) {
-	if err == nil {
-		return
-	}
-	if cleanup != nil {
-		cleanup()
-	}
-	if errors.Is(err, lab.ErrInterrupted) {
-		log.Println("interrupted: finished cells are persisted; rerun with the same flags to resume")
-		os.Exit(130)
-	}
-	log.Fatal(err)
 }

@@ -5,8 +5,9 @@
 // Usage:
 //
 //	appstudy [-app mcb|lulesh|both] [-scale N] [-grid smoke|quick|paper]
-//	         [-seed N] [-j N] [-progress] [-csvdir DIR] [-cache-dir DIR] [-cache-mem BYTES]
-//	         [-cache-url URL] [-worker-of URL] [-cpuprofile FILE] [-memprofile FILE]
+//	         [-seed N] [-j N] [-progress] [-csvdir DIR] [-cache-dir DIR]
+//	         [-cache-url URL] [-worker-of URL] [-telemetry ADDR]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // The default -scale 8 runs a 1/8-geometry Xeon20MB with proportionally
 // scaled inputs (see DESIGN.md); the printed profiles include the ×scale
@@ -19,17 +20,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"activemem/internal/experiments"
 	"activemem/internal/lab"
-	"activemem/internal/prof"
 	"activemem/internal/report"
 )
 
@@ -37,82 +34,28 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("appstudy: ")
 	var (
-		app      = flag.String("app", "both", "application: mcb, lulesh or both")
-		scale    = flag.Int("scale", 8, "machine scale divisor (power of two; 1 = full Xeon20MB)")
-		grid     = flag.String("grid", "quick", "experiment size: smoke, quick or paper")
-		seed     = flag.Uint64("seed", 1, "experiment seed")
-		jobs     = flag.Int("j", 0, "parallel experiment cells (0 = all CPUs, 1 = serial)")
-		progress = flag.Bool("progress", false, "report per-batch experiment progress on stderr")
-		csvdir   = flag.String("csvdir", "", "also write each table as CSV into this directory")
-		cacheDir = flag.String("cache-dir", os.Getenv("ACTIVEMEM_CACHE_DIR"),
-			"persist results to this on-disk store and resume from it (default $ACTIVEMEM_CACHE_DIR)")
-		cacheMem = flag.Int64("cache-mem", -1,
-			"in-memory hot-set budget for the cache in bytes, 0 to disable (default $ACTIVEMEM_CACHE_MEM or 64MiB)")
-		cacheURL = flag.String("cache-url", os.Getenv("ACTIVEMEM_CACHE_URL"),
-			"also consult a labcached server at this URL as a best-effort remote tier (default $ACTIVEMEM_CACHE_URL)")
-		workerOf = flag.String("worker-of", os.Getenv("ACTIVEMEM_FLEET_URL"),
-			"run as one worker of the fleet coordinator at this URL (default $ACTIVEMEM_FLEET_URL); implies -cache-url there unless set")
+		app    = flag.String("app", "both", "application: mcb, lulesh or both")
+		scale  = flag.Int("scale", 8, "machine scale divisor (power of two; 1 = full Xeon20MB)")
+		grid   = flag.String("grid", "quick", "experiment size: smoke, quick or paper")
+		seed   = flag.Uint64("seed", 1, "experiment seed")
+		csvdir = flag.String("csvdir", "", "also write each table as CSV into this directory")
 	)
-	profFlags := prof.RegisterFlags()
-	telemetryAddr := lab.RegisterTelemetryFlag()
+	campaign := lab.RegisterCampaignFlags()
 	flag.Parse()
-
-	stopProf, err := profFlags.Start()
-	check(err)
-	defer stopProf()
+	g, err := experiments.ParseGrid(*grid)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// One executor for the whole study: its memo cache deduplicates the
 	// shared baselines and the p=1 sweeps repeated by the size panels; the
 	// optional disk tier shares them across runs (e.g. with cmd/validate's
 	// calibrations) and machines.
-	if *cacheMem < 0 {
-		*cacheMem = lab.HotBytesFromEnv()
-	}
-	cache, err := lab.OpenCacheSized(*cacheDir, *cacheMem)
-	check(err)
-	if cache != nil {
-		defer cache.Close()
-	}
-	// A fleet worker publishes results through the shared cache its peers
-	// read from; the coordinator address doubles as that cache unless the
-	// operator split them explicitly (labcached -coord serves both).
-	if *workerOf != "" && *cacheURL == "" {
-		*cacheURL = *workerOf
-	}
-	rc, err := lab.OpenRemote(*cacheURL)
-	check(err)
-	defer rc.Close()
-	fc, err := lab.OpenFleet(*workerOf)
-	check(err)
-	if fc != nil {
-		defer fc.Close()
-	}
-	ex := lab.New(lab.Config{Workers: *jobs, Progress: lab.StderrProgress(*progress),
-		Cache: cache, Remote: rc, Fleet: fc})
-	defer ex.Close()
-	stopSignals := lab.NotifyShutdown(ex, os.Stderr)
-	defer stopSignals()
-	// The fatal path (check) bypasses the defers above; drain and sync the
-	// tiers there too, so even an interrupted or failed campaign leaves its
-	// finished cells checkpointed rather than waiting on log replay.
-	cleanup = func() {
-		ex.Close()
-		ex.PrintCacheSummary(os.Stderr)
-		if fc != nil {
-			fc.Close()
-		}
-		rc.Close()
-		if cache != nil {
-			cache.Close()
-		}
-	}
-	stopTelemetry, err := lab.StartTelemetry(*telemetryAddr, ex, os.Stderr)
-	check(err)
-	defer stopTelemetry()
+	c := campaign.Start()
 	opt := experiments.Options{
 		Scale: *scale,
-		Grid:  parseGrid(*grid),
-		Exec:  ex,
+		Grid:  g,
+		Exec:  c.Exec,
 		Seed:  *seed,
 	}
 	fmt.Println(opt.ScaleNote())
@@ -120,40 +63,37 @@ func main() {
 
 	fmt.Println("calibrating interference availability tables (§III-A, §III-C3)...")
 	capAvail, bwAvail, err := experiments.StudyCalibrations(opt)
-	check(err)
+	c.Check(err)
 	fmt.Print(calibrationSummary(capAvail, bwAvail))
 
 	emit := func(name string, t *report.Table) {
 		fmt.Println(t.String())
 		if *csvdir != "" {
-			check(writeCSV(*csvdir, name, t))
+			c.Check(t.WriteCSVFile(*csvdir, name))
 		}
 	}
 
 	if *app == "mcb" || *app == "both" {
 		study, err := experiments.Fig9MCB(opt)
-		check(err)
+		c.Check(err)
 		for i, t := range study.Tables() {
 			emit(fmt.Sprintf("fig9_panel%d", i+1), t)
 		}
 		prof, err := experiments.BuildProfiles(opt, study, capAvail, bwAvail, 0.05)
-		check(err)
+		c.Check(err)
 		emit("fig10", prof.Table())
 	}
 	if *app == "lulesh" || *app == "both" {
 		study, err := experiments.Fig11Lulesh(opt)
-		check(err)
+		c.Check(err)
 		for i, t := range study.Tables() {
 			emit(fmt.Sprintf("fig11_panel%d", i+1), t)
 		}
 		prof, err := experiments.BuildProfiles(opt, study, capAvail, bwAvail, 0.05)
-		check(err)
+		c.Check(err)
 		emit("fig12", prof.Table())
 	}
-	ex.PrintCacheSummary(os.Stderr)
-	if *progress {
-		ex.PrintPoolSummary(os.Stderr)
-	}
+	c.Finish()
 }
 
 func calibrationSummary(capAvail, bwAvail []float64) string {
@@ -168,48 +108,4 @@ func calibrationSummary(capAvail, bwAvail []float64) string {
 	}
 	b.WriteString("\n\n")
 	return b.String()
-}
-
-func parseGrid(s string) experiments.Grid {
-	switch s {
-	case "smoke":
-		return experiments.GridSmoke
-	case "quick":
-		return experiments.GridQuick
-	case "paper":
-		return experiments.GridPaper
-	default:
-		log.Fatalf("unknown grid %q (want smoke, quick or paper)", s)
-		return experiments.GridQuick
-	}
-}
-
-// cleanup, when set, drains the executor and syncs the cache tiers; the
-// fatal exits below run it because log.Fatal/os.Exit skip the defers.
-var cleanup func()
-
-func check(err error) {
-	if err == nil {
-		return
-	}
-	if cleanup != nil {
-		cleanup()
-	}
-	if errors.Is(err, lab.ErrInterrupted) {
-		log.Println("interrupted: finished cells are persisted; rerun with the same flags to resume")
-		os.Exit(130)
-	}
-	log.Fatal(err)
-}
-
-func writeCSV(dir, name string, t *report.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
 }

@@ -8,18 +8,14 @@
 //	labcache ls      [-dir DIR] [-type NAME] [-n N] [-full]
 //	labcache verify  [-dir DIR]
 //	labcache gc      [-dir DIR] [-max-age DUR] [-max-size BYTES]
-//	labcache migrate [-dir DIR]
 //	labcache export  [-dir DIR] [-o FILE]
 //	labcache import  [-dir DIR] [-i FILE]
 //
 // Every subcommand defaults -dir to $ACTIVEMEM_CACHE_DIR. verify exits
 // non-zero when any record fails its checksum, gc compacts the shard
 // segments (dropping stale duplicates and entries outside the age/size
-// policy), migrate upgrades a legacy single-segment directory to the
-// sharded layout (any read-write open — including the experiment CLIs' —
-// does this automatically; the subcommand exists to do it eagerly and
-// report what happened), and export/import move results between machines
-// as a checksum-verified tar bundle:
+// policy), and export/import move results between machines as a
+// checksum-verified tar bundle:
 //
 //	machine-a$ labcache export -dir ~/.cache/activemem -o results.tar
 //	machine-b$ labcache import -dir ~/.cache/activemem -i results.tar
@@ -55,8 +51,6 @@ func main() {
 		cmdVerify(args)
 	case "gc":
 		cmdGC(args)
-	case "migrate":
-		cmdMigrate(args)
 	case "export":
 		cmdExport(args)
 	case "import":
@@ -67,7 +61,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: labcache <stats|ls|verify|gc|migrate|export|import> [-dir DIR] [flags]
+	fmt.Fprintln(os.Stderr, `usage: labcache <stats|ls|verify|gc|export|import> [-dir DIR] [flags]
 run "labcache <subcommand> -h" for subcommand flags`)
 	os.Exit(2)
 }
@@ -100,7 +94,7 @@ func cmdStats(args []string) {
 	sum := s.Stats()
 	fmt.Printf("dir:     %s\n", sum.Dir)
 	fmt.Printf("schema:  %s\n", sum.Schema)
-	fmt.Printf("layout:  %s (%d shards)\n", sum.Layout, sum.Shards)
+	fmt.Printf("layout:  sharded (%d shards)\n", sum.Shards)
 	fmt.Printf("entries: %d\n", sum.Entries)
 	fmt.Printf("size:    %s\n", units.FormatBytes(sum.Bytes))
 	if sum.Entries > 0 {
@@ -211,24 +205,6 @@ func cmdGC(args []string) {
 	}
 	fmt.Printf("kept %d entries, evicted %d; segment %s -> %s\n",
 		res.Kept, res.Evicted, units.FormatBytes(res.BytesBefore), units.FormatBytes(res.BytesAfter))
-}
-
-func cmdMigrate(args []string) {
-	fs, dir := newFlags("migrate")
-	fs.Parse(args)
-	s := open(*dir, false)
-	defer s.Close()
-	migrated, n := s.MigratedOnOpen()
-	sum := s.Stats()
-	switch {
-	case migrated:
-		fmt.Printf("migrated %d entries to the sharded layout (%d shards)\n", n, sum.Shards)
-	case s.ResetOnOpen():
-		fmt.Println("store was stale (schema or layout mismatch); reset to an empty sharded store")
-	default:
-		fmt.Printf("already on layout %s (%d shards), %d entries; nothing to do\n",
-			sum.Layout, sum.Shards, sum.Entries)
-	}
 }
 
 func cmdExport(args []string) {

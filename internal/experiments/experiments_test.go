@@ -20,6 +20,14 @@ func TestGridString(t *testing.T) {
 		GridPaper.String() != "paper" || Grid(9).String() != "Grid(9)" {
 		t.Fatal("grid names")
 	}
+	for _, g := range []Grid{GridSmoke, GridQuick, GridPaper} {
+		if got, err := ParseGrid(g.String()); got != g || err != nil {
+			t.Fatalf("ParseGrid(%q) = (%v, %v)", g, got, err)
+		}
+	}
+	if _, err := ParseGrid("huge"); err == nil {
+		t.Fatal("ParseGrid accepted an unknown grid")
+	}
 }
 
 func TestOptionsDefaults(t *testing.T) {

@@ -43,6 +43,17 @@ func (g Grid) String() string {
 	}
 }
 
+// ParseGrid maps a Grid's String form (a -grid flag value) back to the
+// Grid.
+func ParseGrid(s string) (Grid, error) {
+	for _, g := range []Grid{GridSmoke, GridQuick, GridPaper} {
+		if s == g.String() {
+			return g, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown grid %q (want smoke, quick or paper)", s)
+}
+
 // Options configures an experiment run.
 type Options struct {
 	// Scale shrinks the simulated machine by a power of two (1 = the full

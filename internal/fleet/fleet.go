@@ -2,9 +2,8 @@
 // no lost work. It is the robustness substrate for distributed campaign
 // execution over the content-addressed keyspace: a lease-based
 // coordinator (Coordinator + NewHandler, mounted at /v1/campaign/ beside
-// labcached's cell store, or standalone via cmd/labcoord) and a worker
-// client (Client) that the lab executor consults before computing a
-// cell.
+// labcached's cell store by labcached -coord) and a worker client
+// (Client) that the lab executor consults before computing a cell.
 //
 // The design leans entirely on content addressing. Every worker runs the
 // *same* grid; the coordinator does not push work, it arbitrates who

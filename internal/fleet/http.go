@@ -1,9 +1,9 @@
 // The coordinator's HTTP surface: five POST endpoints taking small JSON
 // bodies plus a GET status page, all under PathPrefix. The handler is
 // mounted beside labcached's cell store (one process serves both the
-// results and the leases) or alone in cmd/labcoord; auth is layered on
-// top by the caller via remote.RequireAuth, so the wire posture matches
-// the cell endpoints exactly.
+// results and the leases); auth is layered on top by the caller via
+// remote.RequireAuth, so the wire posture matches the cell endpoints
+// exactly.
 
 package fleet
 

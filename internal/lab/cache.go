@@ -237,9 +237,9 @@ func OpenRemote(urlStr string) (*remote.Client, error) {
 	return remote.New(remote.OptionsFromEnv(urlStr, ResultSchemaVersion))
 }
 
-// DefaultHotBytes is the in-memory hot-set budget a cache opens with when
-// neither the ACTIVEMEM_CACHE_MEM environment variable nor an explicit
-// -cache-mem setting overrides it.
+// DefaultHotBytes is the in-memory hot-set budget labcached opens its
+// store with when neither the ACTIVEMEM_CACHE_MEM environment variable nor
+// its -cache-mem flag overrides it.
 const DefaultHotBytes = 64 << 20
 
 // HotBytesFromEnv resolves the hot-set budget from ACTIVEMEM_CACHE_MEM
@@ -257,17 +257,12 @@ func HotBytesFromEnv() int64 {
 	return n
 }
 
-// OpenCache opens the persistent result store in dir under the current
-// ResultSchemaVersion — the one way the CLIs and the facade resolve a
-// -cache-dir / MeasureOptions.CacheDir setting, so the schema stamp can
-// never diverge between them. The hot-set budget comes from
-// ACTIVEMEM_CACHE_MEM. An empty dir returns (nil, nil): caching disabled.
-func OpenCache(dir string) (*store.Store, error) {
-	return OpenCacheSized(dir, HotBytesFromEnv())
-}
-
-// OpenCacheSized is OpenCache with an explicit hot-set budget in bytes
-// (0 disables the in-memory tier), for the CLIs' -cache-mem flag.
+// OpenCacheSized opens the persistent result store in dir under the
+// current ResultSchemaVersion — the one way the CLIs, labcached and the
+// facade resolve a -cache-dir / MeasureOptions.CacheDir setting, so the
+// schema stamp can never diverge between them — with a hot-set budget of
+// hotBytes (0 disables the in-memory tier). An empty dir returns
+// (nil, nil): caching disabled.
 func OpenCacheSized(dir string, hotBytes int64) (*store.Store, error) {
 	if dir == "" {
 		return nil, nil

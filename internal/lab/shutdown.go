@@ -34,9 +34,10 @@ func (e *Executor) Interrupted() bool { return e.interrupted.Load() }
 
 // NotifyShutdown installs SIGINT/SIGTERM handling for a campaign CLI:
 // the first signal interrupts the executor — stop dispatching, drain
-// in-flight cells, unwind with ErrInterrupted so the CLI's cleanup path
-// syncs the cache tiers — and announces what is happening on w; a
-// second signal exits immediately with status 130 for the impatient.
+// in-flight cells, unwind with ErrInterrupted so the campaign's shutdown
+// (Campaign.Check) syncs the cache tiers — and announces what is
+// happening on w; a second signal exits immediately with status 130 for
+// the impatient.
 // The returned stop function uninstalls the handler (call it once the
 // campaign is done, so later signals get default behaviour again).
 func NotifyShutdown(e *Executor, w io.Writer) (stop func()) {

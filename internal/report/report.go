@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -119,6 +121,23 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteCSVFile writes the table as CSV to dir/name.csv, creating dir
+// when it does not exist.
+func (t *Table) WriteCSVFile(dir, name string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name+".csv"))
+	if err != nil {
+		return err
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Bars renders a horizontal bar chart: one labelled bar per value, scaled

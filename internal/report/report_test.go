@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,6 +74,17 @@ func TestWriteCSV(t *testing.T) {
 	want := "a,b\n1,2\n\"with,comma\",y\n"
 	if got != want {
 		t.Fatalf("csv = %q, want %q", got, want)
+	}
+
+	dir := filepath.Join(t.TempDir(), "new")
+	if err := tab.WriteCSVFile(dir, "tab"); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "tab.csv")); err != nil || string(b) != want {
+		t.Fatalf("csv file = (%q, %v), want %q", b, err, want)
+	}
+	if err := tab.WriteCSVFile(filepath.Join(dir, "tab.csv"), "x"); err == nil {
+		t.Fatal("WriteCSVFile under a regular file succeeded")
 	}
 }
 

@@ -1,7 +1,7 @@
-// On-disk record format shared by every segment the store writes: the v1
-// single-segment layout, each v2 shard segment, and export bundles all use
-// the same self-delimiting checksummed records behind one header, so bytes
-// move between layouts and machines without re-encoding.
+// On-disk record format shared by every file the store writes: each shard
+// segment, the commit log and export bundles all use the same
+// self-delimiting checksummed records behind one header, so bytes move
+// between files and machines without re-encoding.
 package store
 
 import (
@@ -18,13 +18,11 @@ const (
 	// record layout changes.
 	fileMagic = "AMSTOR01"
 
-	// v1SegmentName is the legacy single-segment layout's one data file; a
-	// read-write Open migrates it into the sharded layout, a read-only Open
-	// serves it in place.
+	// v1SegmentName is the legacy single-segment layout's one data file;
+	// a read-write Open discards it, a read-only Open refuses the layout.
 	v1SegmentName = "results.seg"
-	// lockName is the store-wide lock file: v1 writers serialised every
-	// append through it; the sharded layout keeps it for layout-level
-	// operations (migration, fresh creation) only.
+	// lockName is the store-wide lock file, held for layout-level
+	// operations (fresh creation, discarding a stale layout) only.
 	lockName = "LOCK"
 
 	// shardsDirName holds the sharded layout: one segment + lock file pair

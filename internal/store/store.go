@@ -8,9 +8,8 @@
 // Layout: a cache directory holds a shards/ subdirectory with one
 // append-only segment file and one lock file per key-hash shard (plus a
 // LAYOUT stamp naming the shard routing), and a store-wide LOCK file used
-// only for layout-level operations — fresh creation and migration of the
-// legacy v1 single-segment layout, which a read-write Open upgrades in
-// place (see migrate.go). Each segment starts with a header naming the
+// only for layout-level operations — fresh creation, and discarding a
+// stale layout. Each segment starts with a header naming the
 // binary format and the caller's schema version (the simulator/result
 // version stamp); entries follow as self-delimiting records:
 //
@@ -34,7 +33,9 @@
 // parsing, the scan resynchronises on the next per-record magic marker
 // instead of giving up on the rest of the segment. Stale schema versions
 // discard the whole store at Open: results produced by a different
-// simulator version must never be served.
+// simulator version must never be served. The store is a cache, so a
+// legacy v1 single-segment directory (results.seg) is treated the same
+// way: a read-write Open discards it and its cells recompute.
 //
 // Concurrency: one Store is safe for concurrent use by any number of
 // goroutines, and any number of processes (or Stores in one process) may
@@ -78,8 +79,8 @@ type Options struct {
 	Schema string
 	// ReadOnly opens for inspection: Get and the maintenance scans work,
 	// Put/GC/Import fail, and torn tails are tolerated rather than
-	// truncated. A read-only Open of a legacy v1 directory serves it in
-	// place instead of migrating.
+	// truncated. A read-only Open of a directory without the sharded
+	// layout (empty, or a legacy v1 store) fails.
 	ReadOnly bool
 	// HotBytes bounds the in-memory hot set in front of the shards; zero
 	// disables the memory tier entirely (every Get goes to the segment).
@@ -134,13 +135,7 @@ type Store struct {
 	dir      string
 	schema   string
 	readOnly bool
-	// legacy marks a read-only open of a v1 single-segment directory,
-	// served in place through one shard.
-	legacy bool
-	reset  bool
-	// migrated reports that this Open upgraded a v1 layout (migrate.go).
-	migrated        bool
-	migratedEntries int
+	reset    bool
 
 	shards []*shard
 	sg     *syncGroup
@@ -176,10 +171,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		if s.dirLock, err = os.OpenFile(lockPath, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		// Layout decisions (fresh creation, v1 migration, stale tmp-dir
-		// cleanup) are store-wide and must not race sibling processes
-		// making the same decision; the per-shard locks only exist after
-		// this succeeds.
+		// Layout decisions (fresh creation, discarding a stale layout) are
+		// store-wide and must not race sibling processes making the same
+		// decision; the per-shard locks only exist after this succeeds.
 		s.ops.flockAcqs.Add(1)
 		if err := flockHeld(s.dirLock, lockPath, true, func() error {
 			return s.prepareLayoutLocked()
@@ -188,9 +182,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	} else if fi, err := os.Stat(filepath.Join(dir, shardsDirName)); err != nil || !fi.IsDir() {
-		// No sharded layout: serve a legacy v1 directory in place (or fail
-		// the way opening its missing segment fails).
-		s.legacy = true
+		return nil, fmt.Errorf("store: no sharded store in %s", dir)
 	} else if err := checkLayoutStamp(filepath.Join(dir, shardsDirName, layoutName)); err != nil {
 		return nil, err
 	}
@@ -212,27 +204,18 @@ func Open(dir string, opts Options) (*Store, error) {
 // openShards opens every shard of the active layout and joins them into
 // one group-commit domain.
 func (s *Store) openShards() error {
-	if s.legacy {
-		sh, err := openShard(filepath.Join(s.dir, v1SegmentName),
-			filepath.Join(s.dir, lockName), s.schema, s.readOnly, &s.ops)
+	shardsDir := filepath.Join(s.dir, shardsDirName)
+	s.shards = make([]*shard, 0, numShards)
+	for i := 0; i < numShards; i++ {
+		sh, err := openShard(shardSegPath(shardsDir, i), shardLockPath(shardsDir, i),
+			s.schema, s.readOnly, &s.ops)
 		if err != nil {
+			for _, prev := range s.shards {
+				prev.closeFiles()
+			}
 			return err
 		}
-		s.shards = []*shard{sh}
-	} else {
-		shardsDir := filepath.Join(s.dir, shardsDirName)
-		s.shards = make([]*shard, 0, numShards)
-		for i := 0; i < numShards; i++ {
-			sh, err := openShard(shardSegPath(shardsDir, i), shardLockPath(shardsDir, i),
-				s.schema, s.readOnly, &s.ops)
-			if err != nil {
-				for _, prev := range s.shards {
-					prev.closeFiles()
-				}
-				return err
-			}
-			s.shards = append(s.shards, sh)
-		}
+		s.shards = append(s.shards, sh)
 	}
 	s.sg = &syncGroup{shards: s.shards}
 	for _, sh := range s.shards {
@@ -256,11 +239,10 @@ func (s *Store) openShards() error {
 			}
 			return err
 		}
-	} else if !s.legacy {
+	} else {
 		// Read-only opens may not replay the log into the segments; an
 		// in-memory overlay over commit.log serves what a crash left
-		// acknowledged but uncheckpointed. (Legacy v1 directories predate
-		// the log entirely.)
+		// acknowledged but uncheckpointed.
 		ov, err := openWALOverlay(filepath.Join(s.dir, shardsDirName), s.schema)
 		if err != nil {
 			for _, sh := range s.shards {
@@ -269,6 +251,58 @@ func (s *Store) openShards() error {
 			return err
 		}
 		s.overlay = ov
+	}
+	return nil
+}
+
+// prepareLayoutLocked brings dir to the sharded layout: creating it fresh
+// or adopting an existing one. A layout this binary cannot serve — a
+// conflicting shard routing, or the legacy v1 single segment — is
+// discarded the way a stale schema is, and ResetOnOpen reports it. Runs
+// under the exclusive directory lock, so exactly one process decides.
+func (s *Store) prepareLayoutLocked() error {
+	if err := os.Remove(filepath.Join(s.dir, v1SegmentName)); err == nil {
+		s.reset = true
+	} else if !os.IsNotExist(err) {
+		return fmt.Errorf("store: %w", err)
+	}
+	shardsDir := filepath.Join(s.dir, shardsDirName)
+	if fi, err := os.Stat(shardsDir); err == nil && fi.IsDir() {
+		if err := checkLayoutStamp(filepath.Join(shardsDir, layoutName)); err != nil {
+			// Written with a different shard routing: every key would route
+			// wrong.
+			s.reset = true
+			if err := os.RemoveAll(shardsDir); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			return s.createShardsLocked()
+		}
+		if _, err := os.Stat(filepath.Join(shardsDir, layoutName)); os.IsNotExist(err) {
+			return writeLayoutStamp(shardsDir)
+		}
+		return nil
+	}
+	return s.createShardsLocked()
+}
+
+// createShardsLocked lays down a fresh sharded layout. The shard files
+// themselves are created lazily by openShard. Directory lock held.
+func (s *Store) createShardsLocked() error {
+	shardsDir := filepath.Join(s.dir, shardsDirName)
+	if err := os.MkdirAll(shardsDir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return writeLayoutStamp(shardsDir)
+}
+
+// writeLayoutStamp records the shard routing, atomically.
+func writeLayoutStamp(shardsDir string) error {
+	tmp := filepath.Join(shardsDir, layoutName+".tmp")
+	if err := os.WriteFile(tmp, []byte(layoutStamp), 0o644); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := os.Rename(tmp, filepath.Join(shardsDir, layoutName)); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
@@ -301,21 +335,7 @@ func checkLayoutStamp(path string) error {
 }
 
 // shardFor routes a key to its shard.
-func (s *Store) shardFor(key string) *shard {
-	if s.legacy {
-		return s.shards[0]
-	}
-	return s.shards[shardOf(key)]
-}
-
-// shardIdx is the key's shard index for telemetry labelling (0 for a
-// legacy single-shard layout, matching where the op actually lands).
-func (s *Store) shardIdx(key string) int {
-	if s.legacy {
-		return 0
-	}
-	return shardOf(key)
-}
+func (s *Store) shardFor(key string) *shard { return s.shards[shardOf(key)] }
 
 // Get returns the entry for key, or ok == false when it is absent or its
 // record fails verification. The hot set is consulted first; a disk hit is
@@ -328,7 +348,7 @@ func (s *Store) Get(key string) (typeName string, payload []byte, ok bool) {
 	var startNs int64
 	if telemetry.Active() {
 		startNs = telemetry.NowNs()
-		defer func() { tmGetSeconds.Observe(s.shardIdx(key), telemetry.NowNs()-startNs) }()
+		defer func() { tmGetSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
 	}
 	if s.hot != nil {
 		if v, hit := s.hot.get(key); hit && v.payload != nil {
@@ -393,7 +413,7 @@ func (s *Store) Put(key, typeName string, payload []byte) (added bool, err error
 	var startNs int64
 	if telemetry.Active() {
 		startNs = telemetry.NowNs()
-		defer func() { tmPutSeconds.Observe(s.shardIdx(key), telemetry.NowNs()-startNs) }()
+		defer func() { tmPutSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
 	}
 	added, err = s.shardFor(key).put(key, typeName, payload, time.Now().Unix())
 	if err == nil && s.hot != nil {
@@ -493,11 +513,6 @@ func (s *Store) overlayOnlyKeys() []string {
 // their format or schema version did not match.
 func (s *Store) ResetOnOpen() bool { return s.reset }
 
-// MigratedOnOpen reports whether this Open upgraded a legacy v1
-// single-segment directory to the sharded layout, and how many entries it
-// carried over.
-func (s *Store) MigratedOnOpen() (bool, int) { return s.migrated, s.migratedEntries }
-
 // Counters returns a snapshot of the store's operation counters.
 func (s *Store) Counters() OpCounters {
 	return OpCounters{
@@ -577,20 +592,14 @@ type Summary struct {
 	Bytes          int64
 	PerType        map[string]int
 	Oldest, Newest time.Time
-	// Shards is the number of segment shards (1 for a legacy v1 directory
-	// opened read-only).
+	// Shards is the number of segment shards.
 	Shards int
-	// Layout names the on-disk layout: "sharded" or "v1".
-	Layout string
 }
 
 // Stats returns a summary of the store.
 func (s *Store) Stats() Summary {
 	sum := Summary{Dir: s.dir, Schema: s.schema, PerType: map[string]int{},
-		Shards: len(s.shards), Layout: "sharded"}
-	if s.legacy {
-		sum.Layout = "v1"
-	}
+		Shards: len(s.shards)}
 	for _, sh := range s.shards {
 		st := sh.state.Load()
 		if fi, err := st.f.Stat(); err == nil {
@@ -664,9 +673,6 @@ func (s *Store) Verify() (VerifyResult, error) {
 // open discards it whole, so there is nothing in it a reader could be
 // served and it is skipped rather than reported.
 func (s *Store) verifyLog(res *VerifyResult) error {
-	if s.legacy {
-		return nil // v1 layouts predate the commit log
-	}
 	f, err := os.Open(filepath.Join(s.dir, shardsDirName, commitLogName))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -826,10 +832,9 @@ const bundleManifestName = "MANIFEST"
 
 // Export writes every live entry as a tar bundle: a MANIFEST naming the
 // format and schema, then one file per record (shard by shard, in each
-// shard's write order). Bundles move results between machines and across
-// layout versions — a bundle exported from a v1 store imports into a
-// sharded one unchanged, records being layout-agnostic; Import on the
-// receiving side verifies every checksum.
+// shard's write order). Bundles move results between machines; records
+// are layout-agnostic, and Import on the receiving side verifies every
+// checksum and routes each record to its own shard.
 func (s *Store) Export(w io.Writer) (int, error) {
 	type shardExport struct {
 		sh   *shard
@@ -933,10 +938,7 @@ func (s *Store) Import(r io.Reader) (added, skipped int, err error) {
 		if status != recGood || parsed.recLen != int64(len(rec)) {
 			return 0, 0, fmt.Errorf("store: bundle entry %q fails verification", hdr.Name)
 		}
-		i := 0
-		if !s.legacy {
-			i = shardOf(parsed.key)
-		}
+		i := shardOf(parsed.key)
 		perShard[i] = append(perShard[i], rec)
 	}
 

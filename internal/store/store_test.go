@@ -522,36 +522,42 @@ func TestEntriesAndStats(t *testing.T) {
 	if sum.Bytes != totalSegBytes(t, dir) {
 		t.Fatalf("stats bytes = %d, files = %d", sum.Bytes, totalSegBytes(t, dir))
 	}
-	if sum.Shards != numShards || sum.Layout != "sharded" {
-		t.Fatalf("stats layout = %d/%q", sum.Shards, sum.Layout)
+	if sum.Shards != numShards {
+		t.Fatalf("stats shards = %d", sum.Shards)
 	}
 }
 
-// TestReadOnlyOpenOfBareSegment: a directory holding only a copied v1
-// results.seg (no LOCK file, no shards/) is inspectable read-only,
-// lock-free, through the legacy single-segment mode.
-func TestReadOnlyOpenOfBareSegment(t *testing.T) {
-	// Synthesise a v1 segment directly: the current layout is sharded, so
-	// a legacy segment is built from records.
+// TestLegacyLayoutDiscarded: a directory holding only a legacy v1
+// results.seg is treated like a stale schema. A read-only open refuses
+// it; a read-write open deletes the segment, reports the reset and starts
+// an empty sharded store.
+func TestLegacyLayoutDiscarded(t *testing.T) {
 	seg := encodeHeader(testSchema)
 	seg = append(seg, encodeRecord("key-a", "t", []byte("alpha"), time.Now().Unix())...)
-
-	dst := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dst, v1SegmentName), seg, 0o644); err != nil {
+	dir := t.TempDir()
+	segPath := filepath.Join(dir, v1SegmentName)
+	if err := os.WriteFile(segPath, seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	ro, err := Open(dst, Options{Schema: testSchema, ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
+	if ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true}); err == nil {
+		ro.Close()
+		t.Fatal("read-only open of a legacy layout succeeded")
 	}
-	defer ro.Close()
-	wantEntry(t, ro, "key-a", "t", "alpha")
-	if res, err := ro.Verify(); err != nil || res.Live != 1 || res.Corrupt != 0 {
-		t.Fatalf("verify = (%+v, %v)", res, err)
+
+	s := openT(t, dir)
+	defer s.Close()
+	if !s.ResetOnOpen() {
+		t.Fatal("read-write open of a legacy layout did not report a reset")
 	}
-	if sum := ro.Stats(); sum.Layout != "v1" || sum.Shards != 1 {
-		t.Fatalf("stats layout = %q/%d, want v1/1", sum.Layout, sum.Shards)
+	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
+		t.Fatalf("legacy segment survived the open: %v", err)
+	}
+	wantMiss(t, s, "key-a")
+	put(t, s, "key-a", "t", "fresh")
+	wantEntry(t, s, "key-a", "t", "fresh")
+	if sum := s.Stats(); sum.Shards != numShards || sum.Entries != 1 {
+		t.Fatalf("stats = %+v", sum)
 	}
 }
 
