@@ -52,11 +52,12 @@ func runStoreBench(b *testing.B, g int, fn func(i int)) {
 	wg.Wait()
 }
 
-// BenchmarkStoreConcurrent measures the sharded store under goroutine
-// fan-out at three concurrency levels, with the in-memory hot set off
-// (pure snapshot/disk path) and on. The hot=off get numbers isolate the
-// lock-free read path; put throughput scales with the number of shard
-// flocks whose fsyncs can overlap.
+// BenchmarkStoreConcurrent measures the store under goroutine fan-out at
+// three concurrency levels, with the in-memory hot set off (pure
+// snapshot/disk path) and on. The hot=off get numbers isolate the
+// lock-free read path; puts serialise on the segment's lock, so put
+// throughput grows with concurrency only as far as group commit lets one
+// fsync acknowledge several appends.
 func BenchmarkStoreConcurrent(b *testing.B) {
 	const prePopulated = 2048
 	payload := make([]byte, 256)
@@ -78,11 +79,6 @@ func BenchmarkStoreConcurrent(b *testing.B) {
 			if _, err := s.Put(k, "bench.T", payload); err != nil {
 				b.Fatal(err)
 			}
-		}
-		// Settle deferred durability so the measurement window sees a
-		// checkpointed store, not the prep's leftover writeback.
-		if err := s.Sync(); err != nil {
-			b.Fatal(err)
 		}
 	}
 	for _, hot := range []struct {

@@ -297,9 +297,9 @@ func (e *Executor) RemoteSummary() string {
 
 // StoreOpsSummary renders the disk tier's operation counters in the same
 // machine-readable key=value form as CacheSummary: where gets were served
-// (hot set / lock-free snapshot / locked slow path) and how well the
-// commit log amortised fsyncs (grouped_appends/group_commits is the
-// achieved group-commit batch size).
+// (hot set / lock-free snapshot / locked slow path) and how well group
+// commit amortised the segment's fsyncs (grouped_appends/group_commits is
+// the achieved batch size).
 func (e *Executor) StoreOpsSummary() string {
 	c := e.cache.Counters()
 	return fmt.Sprintf("store: gets=%d puts=%d hot_hits=%d snapshot_hits=%d slow_gets=%d group_commits=%d grouped_appends=%d",

@@ -3,8 +3,8 @@
 // same tiers; this file declares the flags they share, opens the tiers,
 // and owns the one ordered shutdown that every exit path — a finished
 // campaign, a failed one, an interrupted one — goes through, so an
-// exiting campaign always leaves its finished cells checkpointed, its
-// epilogue printed and its profiles written.
+// exiting campaign always leaves its finished cells durable and its store
+// closed, its epilogue printed and its profiles written.
 
 package lab
 
@@ -141,8 +141,8 @@ func (c *Campaign) Check(err error) {
 }
 
 // Finish ends a campaign that ran to completion: it runs the shutdown
-// and exits 1 only when that fails (a store that cannot checkpoint, a
-// profile that cannot be written).
+// and exits 1 only when that fails (a store that cannot close, a profile
+// that cannot be written).
 func (c *Campaign) Finish() {
 	if err := c.shutdown(); err != nil {
 		c.log.Print(err)
@@ -152,7 +152,7 @@ func (c *Campaign) Finish() {
 
 // shutdown tears the campaign down in order: drain the executor,
 // print the epilogue, close the fleet, remote and store tiers (the store
-// close checkpoints the commit log into the segments), stop the
+// close retries the fsync of any put whose own fsync failed), stop the
 // telemetry listener and the signal handler, and finally stop the CPU
 // profile and write the allocation profile, so both cover the teardown.
 func (c *Campaign) shutdown() error {

@@ -62,8 +62,8 @@ func computeCells(c *Campaign, n int, at func(i int)) error {
 }
 
 // verifyCheckpointed reopens the store read-only and checks that the
-// shutdown left every computed cell in the segments, none only in the
-// commit log.
+// shutdown left every computed cell in the segment and no torn or corrupt
+// record behind.
 func verifyCheckpointed(t *testing.T, dir string, live int) {
 	t.Helper()
 	s, err := store.Open(dir, store.Options{Schema: ResultSchemaVersion, ReadOnly: true})
@@ -75,8 +75,8 @@ func verifyCheckpointed(t *testing.T, dir string, live int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LogRecords != 0 || res.Live != live || res.Corrupt != 0 {
-		t.Fatalf("verify = %+v, want %d live cells and an empty commit log", res, live)
+	if res.Live != live || res.Corrupt != 0 || res.TornBytes != 0 {
+		t.Fatalf("verify = %+v, want %d live cells, none corrupt or torn", res, live)
 	}
 }
 
@@ -87,8 +87,8 @@ func wantNonEmpty(t *testing.T, path string) {
 	}
 }
 
-// An interrupted campaign drains, prints its epilogue once, checkpoints
-// the store, finishes both profiles and exits 130.
+// An interrupted campaign drains, prints its epilogue once, closes the
+// store, finishes both profiles and exits 130.
 func TestCampaignInterruptShutsDownOnce(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// TestGetIndexedKeyIsLockFree pins the tentpole guarantee with the store's
-// own op counters: once a key is indexed in a shard's published snapshot,
+// TestGetIndexedKeyIsLockFree pins the lock-free hit path with the store's
+// own op counters: once a key is indexed in the segment's published snapshot,
 // Get touches no mutex and no flock. (The hot set is off here so the
 // counters isolate the snapshot path rather than hot-set hits.)
 func TestGetIndexedKeyIsLockFree(t *testing.T) {
@@ -52,16 +52,16 @@ func TestGetIndexedKeyIsLockFree(t *testing.T) {
 }
 
 // TestSnapshotReadsDontBlockOnWriterLocks: a reader serving an indexed key
-// from its snapshot must not queue behind a writer holding the shard's
+// from its snapshot must not queue behind a writer holding the segment's
 // exclusive lock. The test parks a lock holder inside flockHeld on the
-// key's own shard lock and demands the Get complete while it is held.
+// segment's lock and demands the Get complete while it is held.
 func TestSnapshotReadsDontBlockOnWriterLocks(t *testing.T) {
 	s := openT(t, t.TempDir())
 	defer s.Close()
 	put(t, s, "key-a", "t", "alpha")
-	sh := s.shardFor("key-a")
+	sg := s.seg
 
-	lf, err := os.OpenFile(sh.lockPath, os.O_RDWR, 0o644)
+	lf, err := os.OpenFile(sg.lockPath, os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSnapshotReadsDontBlockOnWriterLocks(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- flockHeld(lf, sh.lockPath, true, func() error {
+		done <- flockHeld(lf, sg.lockPath, true, func() error {
 			close(acquired)
 			<-release
 			return nil
@@ -86,10 +86,10 @@ func TestSnapshotReadsDontBlockOnWriterLocks(t *testing.T) {
 	select {
 	case ok := <-got:
 		if !ok {
-			t.Fatal("Get missed while the shard lock was held")
+			t.Fatal("Get missed while the segment lock was held")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Get blocked behind an exclusive shard lock")
+		t.Fatal("Get blocked behind an exclusive segment lock")
 	}
 	close(release)
 	if err := <-done; err != nil {
@@ -98,7 +98,7 @@ func TestSnapshotReadsDontBlockOnWriterLocks(t *testing.T) {
 }
 
 // TestConcurrentPutsAndGets hammers one handle from many goroutines:
-// writers spread across all shards, writers colliding on one shard, and
+// writers on disjoint keys, writers colliding on one key space, and
 // readers racing the appends. Run under -race this doubles as the memory
 // model check for the snapshot-publication scheme.
 func TestConcurrentPutsAndGets(t *testing.T) {
@@ -137,8 +137,8 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
-				// Even writers spread across shards; odd writers all collide
-				// on writer 1's key space to serialise on one shard lock.
+				// Even writers use their own keys; odd writers all collide
+				// on writer 1's key space.
 				key := fmt.Sprintf("w%d-k%03d", w, i)
 				if w%2 == 1 {
 					key = fmt.Sprintf("w1-k%03d-%d", i, w)
@@ -176,8 +176,8 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 	}
 }
 
-// TestRescanRacingGC: one handle runs GC (compaction: truncate-and-swap of
-// every shard file) while a second handle on the same directory keeps
+// TestRescanRacingGC: one handle runs GC (compaction: rewrite-and-swap of
+// the segment) while a second handle on the same directory keeps
 // reading and writing. Records younger than the age cutoff must all
 // survive.
 func TestRescanRacingGC(t *testing.T) {
@@ -300,12 +300,12 @@ func TestStoreStressHelper(t *testing.T) {
 }
 
 // TestConcurrentGetsSpanShardsLockFree: many goroutines reading indexed
-// keys across every shard stay on the snapshot path — under -race this
-// exercises concurrent loads of the published states.
+// keys stay on the snapshot path — under -race this exercises concurrent
+// loads of the published state.
 func TestConcurrentGetsSpanShardsLockFree(t *testing.T) {
 	s := openT(t, t.TempDir())
 	defer s.Close()
-	keys := make([]string, numShards*4)
+	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%03d", i)
 		put(t, s, keys[i], "t", "v")

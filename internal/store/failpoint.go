@@ -15,9 +15,8 @@ import (
 
 // Operations a hook can intercept, passed as the op argument.
 const (
-	fpSegAppend = "seg-append" // shard segment record append
-	fpWALAppend = "wal-append" // commit-log record append
-	fpWALFsync  = "wal-fsync"  // commit-log group-commit fsync
+	fpSegAppend = "seg-append" // segment record append
+	fpSegFsync  = "seg-fsync"  // segment group-commit fsync
 )
 
 // writeFaultFn decides the fate of one write: err != nil fails it, and

@@ -1,13 +1,11 @@
 // Error-path tests for the put pipeline, driven through the failpoint
-// seams (failpoint.go): a segment append, commit-log append or
-// group-commit fsync that fails must surface as a put error, must never
-// leave the store unreadable, and must never let a torn record be
-// served.
+// seams (failpoint.go): a segment append or group-commit fsync that fails
+// must surface as a put error, must never leave the store unreadable, and
+// must never let a torn record be served.
 package store
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,44 +82,17 @@ func TestPutSurfacesTornSegmentAppend(t *testing.T) {
 	wantEntry(t, s2, "key-b", "t", "payload-b")
 }
 
-// A commit-log append failure: the put must report it (the record is not
-// durably acknowledged) while the store stays readable and writable.
-func TestPutSurfacesCommitLogAppendFailure(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	defer s.Close()
-
-	failWrites(t, fpWALAppend, 0)
-	if _, err := s.Put("key-a", "t", []byte("payload-a")); !errors.Is(err, errInjected) {
-		t.Fatalf("Put under wal-append fault: err = %v, want %v", err, errInjected)
-	}
-	clearFaults()
-
-	// The segment append preceded the failed log append, so the record is
-	// visible in-process — the crash model tolerates an unacknowledged
-	// record at a tail — and the store keeps working.
-	wantEntry(t, s, "key-a", "t", "payload-a")
-	put(t, s, "key-b", "t", "payload-b")
-	wantEntry(t, s, "key-b", "t", "payload-b")
-	res, err := s.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Corrupt != 0 || res.LogCorrupt != 0 {
-		t.Fatalf("after recovery: %+v, want no corruption", res)
-	}
-}
-
-// A group-commit fsync failure: the put must report it, the synced
-// watermark must not advance past the failed fsync, and the next put's
-// group commit must cover the stranded append.
+// A group-commit fsync failure of the segment (the store's commit log):
+// the put must report it, the synced watermark must not advance past the
+// failed fsync, and the next put's group commit must cover the stranded
+// append.
 func TestPutSurfacesCommitLogFsyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	defer s.Close()
 
 	fn := fsyncFaultFn(func(op string) error {
-		if op == fpWALFsync {
+		if op == fpSegFsync {
 			return errInjected
 		}
 		return nil
@@ -130,11 +101,17 @@ func TestPutSurfacesCommitLogFsyncFailure(t *testing.T) {
 	t.Cleanup(clearFaults)
 
 	if _, err := s.Put("key-a", "t", []byte("payload-a")); !errors.Is(err, errInjected) {
-		t.Fatalf("Put under wal-fsync fault: err = %v, want %v", err, errInjected)
+		t.Fatalf("Put under seg-fsync fault: err = %v, want %v", err, errInjected)
 	}
 	clearFaults()
+	if c := s.Counters(); c.GroupCommits != 0 {
+		t.Fatalf("failed fsync counted as a group commit: %+v", c)
+	}
 
 	put(t, s, "key-b", "t", "payload-b")
+	if c := s.Counters(); c.GroupCommits != 1 || c.GroupedAppends != 2 {
+		t.Fatalf("counters = %+v, want one fsync covering both appends", c)
+	}
 	wantEntry(t, s, "key-a", "t", "payload-a")
 	wantEntry(t, s, "key-b", "t", "payload-b")
 
@@ -147,86 +124,22 @@ func TestPutSurfacesCommitLogFsyncFailure(t *testing.T) {
 	wantEntry(t, s2, "key-b", "t", "payload-b")
 }
 
-// Verify covers the commit log: records that only the log still holds (a
-// crash before any checkpoint) are counted, served read-only through the
-// overlay, and corruption in the log is flagged.
-func TestVerifyCountsCommitLogRecords(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	// keyB must land on a different shard than keyA, so truncating keyA's
-	// segment leaves keyB's intact.
-	const keyA = "key-a"
-	keyB := ""
-	for i := 0; keyB == ""; i++ {
-		if k := fmt.Sprintf("key-b%d", i); shardOf(k) != shardOf(keyA) {
-			keyB = k
-		}
-	}
-	put(t, s, keyA, "t", "payload-a")
-	put(t, s, keyB, "t", "payload-b")
-	// Abandon s without Close: no checkpoint, both records remain in the
-	// commit log. Simulate the crash losing keyA's un-fsynced segment
-	// write by truncating its shard segment back to a bare header.
-	_, segPath := refOf(t, s, keyA)
-	fi, err := os.Stat(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(segPath, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := encodeHeader(testSchema)
-	if fi.Size() <= int64(len(hdr)) {
-		t.Fatalf("segment %s unexpectedly bare", segPath)
-	}
-	if err := f.Truncate(int64(len(hdr))); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	// keyA is gone from its segment but acknowledged in the log: the
-	// overlay serves it, and Verify counts it as log-only live.
-	wantEntry(t, ro, keyA, "t", "payload-a")
-	wantEntry(t, ro, keyB, "t", "payload-b")
-	res, err := ro.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LogRecords != 2 || res.LogLive != 1 || res.LogCorrupt != 0 {
-		t.Fatalf("log scan = %+v, want LogRecords=2 LogLive=1 LogCorrupt=0", res)
-	}
-	if res.Corrupt != 0 {
-		t.Fatalf("Corrupt = %d, want 0", res.Corrupt)
-	}
-	if got := ro.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-}
-
-// A flipped byte in a commit-log record fails its checksum: Verify
-// reports it and the overlay never serves it.
+// A flipped byte in the commit log's newest record — the segment's tail,
+// in a store abandoned without Close: Verify reports it and no open serves
+// it, while the earlier record stays served. A read-write open then
+// truncates the damaged tail like a torn append.
 func TestVerifyFlagsCorruptCommitLog(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	put(t, s, "key-a", "t", "payload-a")
-	// Abandon without Close, then flip a byte inside the log's one record.
-	logPath := filepath.Join(dir, shardsDirName, commitLogName)
-	b, err := os.ReadFile(logPath)
+	put(t, s, "key-b", "t", "payload-b")
+	segPath := filepath.Join(dir, segName)
+	b, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdrLen := len(encodeHeader(testSchema))
-	if len(b) <= hdrLen {
-		t.Fatalf("commit log holds no records (%d bytes)", len(b))
-	}
-	b[len(b)-5] ^= 0x40 // inside the payload/CRC region
-	if err := os.WriteFile(logPath, b, 0o644); err != nil {
+	b[len(b)-5] ^= 0x40 // inside key-b's payload/CRC region
+	if err := os.WriteFile(segPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,11 +148,21 @@ func TestVerifyFlagsCorruptCommitLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
+	wantEntry(t, ro, "key-a", "t", "payload-a")
+	wantMiss(t, ro, "key-b")
 	res, err := ro.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LogCorrupt != 1 || res.LogLive != 0 {
-		t.Fatalf("log scan = %+v, want LogCorrupt=1 LogLive=0", res)
+	if res.Corrupt != 1 || res.Live != 1 || res.TornBytes == 0 {
+		t.Fatalf("verify = %+v, want 1 corrupt tail record and 1 live", res)
+	}
+
+	rw := openT(t, dir)
+	defer rw.Close()
+	wantEntry(t, rw, "key-a", "t", "payload-a")
+	wantMiss(t, rw, "key-b")
+	if res, err := rw.Verify(); err != nil || res.Corrupt != 0 || res.TornBytes != 0 || res.Live != 1 {
+		t.Fatalf("verify after read-write open = (%+v, %v), want the damaged tail truncated", res, err)
 	}
 }

@@ -16,9 +16,9 @@ var lockMus sync.Map // lock-file path -> *sync.Mutex
 
 // flockHeld on platforms without flock degrades to in-process, per-lock-file
 // serialisation: any number of handles on one directory within this process
-// remain fully coordinated (each lock file — one per shard, one per layout —
-// maps to one mutex); exclusive and shared acquisitions collapse together,
-// which is fine at the store's call rates.
+// remain fully coordinated (the lock file maps to one mutex); exclusive
+// and shared acquisitions collapse together, which is fine at the store's
+// call rates.
 func flockHeld(f *os.File, name string, exclusive bool, fn func() error) error {
 	if f == nil {
 		return fn()

@@ -9,13 +9,12 @@ import (
 )
 
 // flockHeld runs fn while holding a file lock on f: exclusive for writers
-// (appends, compaction, layout changes), shared for readers scanning a
+// (appends, compaction, opening), shared for readers scanning a
 // tail. A nil f (read-only open of a bare copied directory, which nothing
 // else can be writing) runs fn lock-free. Callers serialise their own use
-// of one descriptor — the shard mutex for shard locks, Open for the
-// directory lock — so its flock state is never manipulated by two
-// goroutines at once; distinct handles, in this or any other process,
-// contend through the kernel.
+// of one descriptor (the segment mutex) so its flock state is never
+// manipulated by two goroutines at once; distinct handles, in this or any
+// other process, contend through the kernel.
 func flockHeld(f *os.File, name string, exclusive bool, fn func() error) error {
 	if f == nil {
 		return fn()

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// The hot set is the in-memory tier in front of the shards: a byte-bounded
+// The hot set is the in-memory tier in front of the segment: a byte-bounded
 // cache of recently served payloads (and, via attach, their decoded
 // values) so warm reads skip the pread, the checksum verification and the
 // decode entirely. Admission is frequency-based in the TinyLFU style: a
@@ -147,8 +147,7 @@ func nextPow2(n int) int {
 }
 
 // hotSeed randomises hotHash per process. The hot set is in-memory only,
-// so unlike shardOf (pinned FNV: it routes keys to on-disk shards) its
-// hash owes no cross-process stability.
+// so its hash owes no cross-process stability.
 var hotSeed = maphash.MakeSeed()
 
 // hotHash is the one hash the stripe choice and all sketch rows are
@@ -160,8 +159,6 @@ func hotHash(key string) uint64 {
 }
 
 func (h *hotSet) stripeFor(hash uint64) *hotStripe {
-	// The shard router consumes the low bits of a different (32-bit) FNV;
-	// fold the high half in so stripe choice is decorrelated from it.
 	return &h.stripes[(hash>>32^hash)%hotStripes]
 }
 

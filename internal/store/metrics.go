@@ -8,8 +8,9 @@
 // does a map probe or a pread; a hot-set admission holds a stripe mutex),
 // while latency timing — the time.Now pairs around Get/Put — is gated on
 // telemetry.Active() so the lock-free read path stays lock-free and
-// near-free with the listener off. WAL fsyncs are always timed: a clock
-// read is noise against a disk flush.
+// near-free with the listener off. Segment fsyncs are always timed: a
+// clock read is noise against a disk flush. The fsync families keep their
+// store_wal_ names: the segment is the store's write-ahead log.
 
 package store
 
@@ -23,23 +24,19 @@ var (
 	tmHotHits = telemetry.Default.NewCounter("store_hot_hits_total",
 		"Gets served by the in-memory hot set (no disk access, no mutex).")
 	tmSnapshotHits = telemetry.Default.NewCounter("store_snapshot_hits_total",
-		"Gets served lock-free from a shard's published index snapshot (one pread).")
+		"Gets served lock-free from the segment's published index snapshot (one pread).")
 	tmSlowGets = telemetry.Default.NewCounter("store_slow_gets_total",
-		"Gets that fell to a shard's locked slow path (misses, verification failures).")
+		"Gets that fell to the segment's locked slow path (misses, verification failures).")
 
-	tmGetSeconds = telemetry.Default.NewHistogramVec("store_get_seconds",
-		"Get latency by shard (hot set included; timing active only with telemetry on).",
-		"shard", numShards)
-	tmPutSeconds = telemetry.Default.NewHistogramVec("store_put_seconds",
-		"Put latency by shard, including the group-committed log fsync (timing active only with telemetry on).",
-		"shard", numShards)
+	tmGetSeconds = telemetry.Default.NewHistogram("store_get_seconds",
+		"Get latency (hot set included; timing active only with telemetry on).")
+	tmPutSeconds = telemetry.Default.NewHistogram("store_put_seconds",
+		"Put latency, including the group-committed segment fsync (timing active only with telemetry on).")
 
-	tmWalFsyncSeconds = telemetry.Default.NewHistogram("store_wal_fsync_seconds",
-		"Commit-log fsync latency (one fsync acknowledges a whole commit group).")
-	tmWalGroupSize = telemetry.Default.NewHistogram("store_wal_group_commit_size",
-		"Appends acknowledged per commit-log fsync (group-commit batch size; unit = appends, bucket k = 2^k).")
-	tmWalCheckpoints = telemetry.Default.NewCounter("store_wal_checkpoints_total",
-		"Commit-log checkpoints (every shard segment fsynced, log truncated).")
+	tmFsyncSeconds = telemetry.Default.NewHistogram("store_wal_fsync_seconds",
+		"Segment fsync latency (one fsync acknowledges a whole commit group).")
+	tmGroupSize = telemetry.Default.NewHistogram("store_wal_group_commit_size",
+		"Appends acknowledged per segment fsync (group-commit batch size; unit = appends, bucket k = 2^k).")
 
 	tmHotAdmits = telemetry.Default.NewCounter("store_hot_admits_total",
 		"Hot-set admissions (entry accepted into probation).")

@@ -1,7 +1,7 @@
-// On-disk record format shared by every file the store writes: each shard
-// segment, the commit log and export bundles all use the same
-// self-delimiting checksummed records behind one header, so bytes move
-// between files and machines without re-encoding.
+// On-disk record format shared by every file the store writes: the
+// segment and export bundles use the same self-delimiting checksummed
+// records (the segment behind one header), so bytes move between files and
+// machines without re-encoding.
 package store
 
 import (
@@ -18,23 +18,14 @@ const (
 	// record layout changes.
 	fileMagic = "AMSTOR01"
 
-	// v1SegmentName is the legacy single-segment layout's one data file;
-	// a read-write Open discards it, a read-only Open refuses the layout.
-	v1SegmentName = "results.seg"
-	// lockName is the store-wide lock file, held for layout-level
-	// operations (fresh creation, discarding a stale layout) only.
+	// segName is the store's one data file: the append-only segment that
+	// is also its commit log. lockName is its cross-process lock file.
+	segName  = "results.seg"
 	lockName = "LOCK"
 
-	// shardsDirName holds the sharded layout: one segment + lock file pair
-	// per key-hash shard, plus the layout stamp.
-	shardsDirName = "shards"
-	layoutName    = "LAYOUT"
-
-	// numShards partitions the keyspace; each shard owns its segment file,
-	// its lock and its index, so writers to different shards never contend.
-	// The routing (shardOf) is baked into the layout — layoutStamp records
-	// it so a binary with a different constant refuses to mix layouts.
-	numShards = 16
+	// legacyShardsDir held the previous sharded layout; a read-write Open
+	// discards it.
+	legacyShardsDir = "shards"
 
 	entryMagic  = uint32(0x414D4345) // "AMCE"
 	fixedHdrLen = 4 + 2 + 2 + 4 + 8
@@ -44,24 +35,6 @@ const (
 	maxTypeLen = 1 << 10
 	maxPayload = 1 << 26
 )
-
-// layoutStamp is the exact content of the LAYOUT file; any other content
-// means the directory was written by an incompatible shard routing.
-var layoutStamp = fmt.Sprintf("amshards v1\nshards: %d\n", numShards)
-
-// shardOf routes a key to its shard (FNV-1a over the key bytes).
-func shardOf(key string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return int(h % numShards)
-}
 
 // entryRef locates one live record in a segment.
 type entryRef struct {

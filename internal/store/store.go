@@ -5,13 +5,11 @@
 // interrupted `validate -grid paper` campaign resumes with only the missing
 // cells simulated and a finished campaign can be exported to a colleague.
 //
-// Layout: a cache directory holds a shards/ subdirectory with one
-// append-only segment file and one lock file per key-hash shard (plus a
-// LAYOUT stamp naming the shard routing), and a store-wide LOCK file used
-// only for layout-level operations — fresh creation, and discarding a
-// stale layout. Each segment starts with a header naming the
-// binary format and the caller's schema version (the simulator/result
-// version stamp); entries follow as self-delimiting records:
+// Layout: a cache directory holds two files. results.seg is the one
+// append-only segment, and LOCK is its cross-process lock. The segment
+// starts with a header naming the binary format and the caller's schema
+// version (the simulator/result version stamp); entries follow as
+// self-delimiting records:
 //
 //	entryMagic  uint32   per-record sync marker
 //	keyLen      uint16
@@ -23,33 +21,34 @@
 //	payload     payloadLen bytes
 //	crc         uint32   IEEE CRC-32 of everything above
 //
-// Crash safety is by construction: records are appended with a single
-// write under an exclusive per-shard lock, so the only possible
-// inconsistency is a torn record at a segment's tail (a crashed writer),
-// which Open and the next writer truncate away. A corrupted record body
-// (bit rot, a flipped byte) fails its checksum and is skipped — the key
-// simply misses and its cell recomputes — while records after it stay
-// reachable: even when the damage hits a length field and desynchronises
-// parsing, the scan resynchronises on the next per-record magic marker
-// instead of giving up on the rest of the segment. Stale schema versions
-// discard the whole store at Open: results produced by a different
-// simulator version must never be served. The store is a cache, so a
-// legacy v1 single-segment directory (results.seg) is treated the same
-// way: a read-write Open discards it and its cells recompute.
+// The segment is also the commit log. A put appends its record with a
+// single write under the exclusive lock, then returns once an fsync of the
+// segment covers it. That fsync runs after the locks are released and is
+// group-committed: one flush acknowledges every put that queued behind
+// it. So the only possible inconsistency is a torn record at the tail (a
+// crashed writer), which Open and the next writer truncate away. A
+// corrupted record body (bit rot, a flipped byte) fails its checksum and
+// is skipped — the key simply misses and its cell recomputes — while
+// records after it stay reachable: even when the damage hits a length
+// field and desynchronises parsing, the scan resynchronises on the next
+// per-record magic marker instead of giving up on the rest of the
+// segment. Stale schema versions discard the whole store at Open: results
+// produced by a different simulator version must never be served. The
+// store is a cache, so the previous version's sharded layout (a shards/
+// directory) is treated the same way: a read-write Open removes it and its
+// cells recompute.
 //
 // Concurrency: one Store is safe for concurrent use by any number of
 // goroutines, and any number of processes (or Stores in one process) may
-// share a directory. Writers to different shards proceed in parallel —
-// each shard has its own exclusive file lock — and writers to one shard
-// serialise through it. The hit path is lock-free: every shard publishes
-// its index as an immutable snapshot (swapped atomically on append,
-// rescan and compaction), so a Get of an indexed key acquires no mutex
-// and no file lock; committed bytes are immutable, which is what makes
-// the unlocked read sound. An index miss falls to a locked slow path
-// whose shared-lock tail rescan makes results appended by sibling
-// processes visible mid-run.
+// share a directory. Writers serialise on the segment's lock. The hit path
+// is lock-free: the segment publishes its index as an immutable snapshot
+// (swapped atomically on append, rescan and compaction), so a Get of an
+// indexed key acquires no mutex and no file lock; committed bytes are
+// immutable, which is what makes the unlocked read sound. An index miss
+// falls to a locked slow path whose shared-lock tail rescan makes results
+// appended by sibling processes visible mid-run.
 //
-// In front of the shards sits an optional admission-controlled in-memory
+// In front of the segment sits an optional admission-controlled in-memory
 // hot set (Options.HotBytes; see hotset.go): repeated reads of the same
 // keys are served from memory without the pread, checksum re-verification
 // or decode, under TinyLFU admission so one-shot scans cannot flush the
@@ -60,8 +59,6 @@ import (
 	"archive/tar"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -79,10 +76,10 @@ type Options struct {
 	Schema string
 	// ReadOnly opens for inspection: Get and the maintenance scans work,
 	// Put/GC/Import fail, and torn tails are tolerated rather than
-	// truncated. A read-only Open of a directory without the sharded
-	// layout (empty, or a legacy v1 store) fails.
+	// truncated. A read-only Open of a directory without results.seg
+	// fails.
 	ReadOnly bool
-	// HotBytes bounds the in-memory hot set in front of the shards; zero
+	// HotBytes bounds the in-memory hot set in front of the segment; zero
 	// disables the memory tier entirely (every Get goes to the segment).
 	HotBytes int64
 }
@@ -112,18 +109,17 @@ type OpCounters struct {
 	// access, no mutex — the hit path is a lock-free map load plus a
 	// read-ring store (policy work is drained by later locked ops).
 	HotHits uint64
-	// SnapshotHits counts gets served lock-free from a shard's published
-	// index snapshot: no mutex, no file lock, one pread.
+	// SnapshotHits counts gets served lock-free from the segment's
+	// published index snapshot: no mutex, no file lock, one pread.
 	SnapshotHits uint64
-	// SlowGets counts gets that fell to a shard's locked slow path (index
-	// misses and verification failures).
+	// SlowGets counts gets that fell to the segment's locked slow path
+	// (index misses and verification failures).
 	SlowGets uint64
-	// MutexAcqs counts shard mutex acquisitions across all operations.
+	// MutexAcqs counts segment mutex acquisitions across all operations.
 	MutexAcqs uint64
-	// FlockAcqs counts cross-process file-lock acquisitions (shard locks
-	// and the layout lock).
+	// FlockAcqs counts cross-process file-lock acquisitions.
 	FlockAcqs uint64
-	// GroupCommits counts commit-log fsyncs; GroupedAppends counts the
+	// GroupCommits counts segment fsyncs; GroupedAppends counts the
 	// appends those fsyncs acknowledged. Their ratio is the achieved
 	// group-commit batch size: GroupedAppends/GroupCommits ≈ 1 means every
 	// put paid its own fsync, larger means concurrent puts amortised it.
@@ -132,21 +128,12 @@ type OpCounters struct {
 
 // Store is an open result store. Methods are safe for concurrent use.
 type Store struct {
-	dir      string
-	schema   string
-	readOnly bool
-	reset    bool
+	dir    string
+	schema string
 
-	shards []*shard
-	sg     *syncGroup
-	hot    *hotSet
-	// overlay, on read-only opens, indexes the commit log in memory so
-	// acknowledged-but-uncheckpointed records are served without the
-	// writable replay (see overlay.go); nil on writable opens, which
-	// recover the log into the segments instead.
-	overlay *walOverlay
-	ops     opCounters
-	dirLock *os.File
+	seg *segment
+	hot *hotSet
+	ops opCounters
 }
 
 // Open opens (creating if necessary, unless read-only) the store in dir.
@@ -157,198 +144,29 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.Schema == "" {
 		return nil, fmt.Errorf("store: empty schema version")
 	}
-	s := &Store{dir: dir, schema: opts.Schema, readOnly: opts.ReadOnly}
+	s := &Store{dir: dir, schema: opts.Schema}
 	if opts.HotBytes > 0 {
 		s.hot = newHotSet(opts.HotBytes)
 	}
-
-	if !opts.ReadOnly {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		lockPath := filepath.Join(dir, lockName)
-		var err error
-		if s.dirLock, err = os.OpenFile(lockPath, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		// Layout decisions (fresh creation, discarding a stale layout) are
-		// store-wide and must not race sibling processes making the same
-		// decision; the per-shard locks only exist after this succeeds.
-		s.ops.flockAcqs.Add(1)
-		if err := flockHeld(s.dirLock, lockPath, true, func() error {
-			return s.prepareLayoutLocked()
-		}); err != nil {
-			s.dirLock.Close()
-			return nil, err
-		}
-	} else if fi, err := os.Stat(filepath.Join(dir, shardsDirName)); err != nil || !fi.IsDir() {
-		return nil, fmt.Errorf("store: no sharded store in %s", dir)
-	} else if err := checkLayoutStamp(filepath.Join(dir, shardsDirName, layoutName)); err != nil {
+	seg, err := openSegment(dir, opts.Schema, opts.ReadOnly, &s.ops)
+	if err != nil {
 		return nil, err
 	}
-
-	if err := s.openShards(); err != nil {
-		if s.dirLock != nil {
-			s.dirLock.Close()
-		}
-		return nil, err
-	}
-	for _, sh := range s.shards {
-		if sh.reset {
-			s.reset = true
-		}
-	}
+	s.seg = seg
 	return s, nil
 }
 
-// openShards opens every shard of the active layout and joins them into
-// one group-commit domain.
-func (s *Store) openShards() error {
-	shardsDir := filepath.Join(s.dir, shardsDirName)
-	s.shards = make([]*shard, 0, numShards)
-	for i := 0; i < numShards; i++ {
-		sh, err := openShard(shardSegPath(shardsDir, i), shardLockPath(shardsDir, i),
-			s.schema, s.readOnly, &s.ops)
-		if err != nil {
-			for _, prev := range s.shards {
-				prev.closeFiles()
-			}
-			return err
-		}
-		s.shards = append(s.shards, sh)
-	}
-	s.sg = &syncGroup{shards: s.shards}
-	for _, sh := range s.shards {
-		sh.sg = s.sg
-	}
-	if !s.readOnly {
-		w, err := openWAL(filepath.Join(s.dir, shardsDirName), s.schema, &s.ops)
-		if err != nil {
-			for _, sh := range s.shards {
-				sh.closeFiles()
-			}
-			return err
-		}
-		s.sg.w = w
-		// Replay commits a crash left unreplicated into their segments,
-		// then truncate the log — this open's puts start from a clean one.
-		if err := s.sg.recover(); err != nil {
-			w.closeFiles()
-			for _, sh := range s.shards {
-				sh.closeFiles()
-			}
-			return err
-		}
-	} else {
-		// Read-only opens may not replay the log into the segments; an
-		// in-memory overlay over commit.log serves what a crash left
-		// acknowledged but uncheckpointed.
-		ov, err := openWALOverlay(filepath.Join(s.dir, shardsDirName), s.schema)
-		if err != nil {
-			for _, sh := range s.shards {
-				sh.closeFiles()
-			}
-			return err
-		}
-		s.overlay = ov
-	}
-	return nil
-}
-
-// prepareLayoutLocked brings dir to the sharded layout: creating it fresh
-// or adopting an existing one. A layout this binary cannot serve — a
-// conflicting shard routing, or the legacy v1 single segment — is
-// discarded the way a stale schema is, and ResetOnOpen reports it. Runs
-// under the exclusive directory lock, so exactly one process decides.
-func (s *Store) prepareLayoutLocked() error {
-	if err := os.Remove(filepath.Join(s.dir, v1SegmentName)); err == nil {
-		s.reset = true
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	shardsDir := filepath.Join(s.dir, shardsDirName)
-	if fi, err := os.Stat(shardsDir); err == nil && fi.IsDir() {
-		if err := checkLayoutStamp(filepath.Join(shardsDir, layoutName)); err != nil {
-			// Written with a different shard routing: every key would route
-			// wrong.
-			s.reset = true
-			if err := os.RemoveAll(shardsDir); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			return s.createShardsLocked()
-		}
-		if _, err := os.Stat(filepath.Join(shardsDir, layoutName)); os.IsNotExist(err) {
-			return writeLayoutStamp(shardsDir)
-		}
-		return nil
-	}
-	return s.createShardsLocked()
-}
-
-// createShardsLocked lays down a fresh sharded layout. The shard files
-// themselves are created lazily by openShard. Directory lock held.
-func (s *Store) createShardsLocked() error {
-	shardsDir := filepath.Join(s.dir, shardsDirName)
-	if err := os.MkdirAll(shardsDir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeLayoutStamp(shardsDir)
-}
-
-// writeLayoutStamp records the shard routing, atomically.
-func writeLayoutStamp(shardsDir string) error {
-	tmp := filepath.Join(shardsDir, layoutName+".tmp")
-	if err := os.WriteFile(tmp, []byte(layoutStamp), 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(shardsDir, layoutName)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-func shardSegPath(shardsDir string, i int) string {
-	return filepath.Join(shardsDir, fmt.Sprintf("shard-%02d.seg", i))
-}
-
-func shardLockPath(shardsDir string, i int) string {
-	return filepath.Join(shardsDir, fmt.Sprintf("shard-%02d.lock", i))
-}
-
-// checkLayoutStamp verifies the LAYOUT file matches this binary's shard
-// routing. A missing stamp (an interrupted creation) passes — the shards
-// themselves still verify — but a conflicting one means the directory was
-// written with a different shard count and every key would route wrong.
-func checkLayoutStamp(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	if string(b) != layoutStamp {
-		return fmt.Errorf("store: %s does not match this binary's shard routing (have %q, want %q)",
-			path, strings.TrimSpace(string(b)), strings.TrimSpace(layoutStamp))
-	}
-	return nil
-}
-
-// shardFor routes a key to its shard.
-func (s *Store) shardFor(key string) *shard { return s.shards[shardOf(key)] }
-
 // Get returns the entry for key, or ok == false when it is absent or its
 // record fails verification. The hot set is consulted first; a disk hit is
-// offered back to it for admission. A shard-index miss rescans that
-// shard's tail, so entries appended by other processes sharing the
-// directory are found.
+// offered back to it for admission. An index miss rescans the segment's
+// tail, so entries appended by other processes sharing the directory are
+// found.
 func (s *Store) Get(key string) (typeName string, payload []byte, ok bool) {
 	s.ops.gets.Add(1)
 	tmGets.Inc()
-	var startNs int64
 	if telemetry.Active() {
-		startNs = telemetry.NowNs()
-		defer func() { tmGetSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
+		startNs := telemetry.NowNs()
+		defer func() { tmGetSeconds.Observe(telemetry.NowNs() - startNs) }()
 	}
 	if s.hot != nil {
 		if v, hit := s.hot.get(key); hit && v.payload != nil {
@@ -357,12 +175,7 @@ func (s *Store) Get(key string) (typeName string, payload []byte, ok bool) {
 			return v.typeName, v.payload, true
 		}
 	}
-	typeName, payload, ok = s.shardFor(key).get(key)
-	if !ok && s.overlay != nil {
-		// A key the segment scan did not surface may still sit in the
-		// commit log: acknowledged by a crashed writer, never checkpointed.
-		typeName, payload, ok = s.overlay.get(key)
-	}
+	typeName, payload, ok = s.seg.get(key)
 	if ok && s.hot != nil {
 		s.hot.add(key, typeName, payload, nil)
 	}
@@ -397,10 +210,11 @@ func (s *Store) AddDecoded(key string, value any, payloadLen int64) {
 	s.hot.attach(key, value, payloadLen)
 }
 
-// Put appends an entry to the key's shard, reporting whether it wrote: a
-// key already present is left untouched and reports false (results are
-// content-addressed — same key, same value — so concurrent writers that
-// raced on a computation converge on one record).
+// Put appends an entry to the segment and returns once an fsync covers
+// it, reporting whether it wrote: a key already present is left untouched
+// and reports false (results are content-addressed — same key, same value
+// — so concurrent writers that raced on a computation converge on one
+// record).
 func (s *Store) Put(key, typeName string, payload []byte) (added bool, err error) {
 	if len(key) == 0 || len(key) > maxKeyLen || len(typeName) > maxTypeLen {
 		return false, fmt.Errorf("store: bad key/type length %d/%d", len(key), len(typeName))
@@ -410,19 +224,18 @@ func (s *Store) Put(key, typeName string, payload []byte) (added bool, err error
 	}
 	s.ops.puts.Add(1)
 	tmPuts.Inc()
-	var startNs int64
 	if telemetry.Active() {
-		startNs = telemetry.NowNs()
-		defer func() { tmPutSeconds.Observe(shardOf(key), telemetry.NowNs()-startNs) }()
+		startNs := telemetry.NowNs()
+		defer func() { tmPutSeconds.Observe(telemetry.NowNs() - startNs) }()
 	}
-	added, err = s.shardFor(key).put(key, typeName, payload, time.Now().Unix())
+	added, err = s.seg.put(key, typeName, payload, time.Now().Unix())
 	if err == nil && s.hot != nil {
 		s.hot.add(key, typeName, payload, nil)
 	}
 	return added, err
 }
 
-// Invalidate drops key from its shard's index (so the next Put for it
+// Invalidate drops key from the segment's index (so the next Put for it
 // appends a fresh record, which last-wins over the old one at every future
 // scan) and from the hot set. The executor's disk tier uses it when a
 // checksum-valid record fails to decode — a stale payload encoding that,
@@ -432,50 +245,12 @@ func (s *Store) Invalidate(key string) {
 	if s.hot != nil {
 		s.hot.remove(key)
 	}
-	s.shardFor(key).invalidate(key)
+	s.seg.invalidate(key)
 }
 
-// Sync is a durability barrier: it checkpoints the commit log, after
-// which every acknowledged put is durable in its own segment, the log is
-// empty, and no deferred writeback is pending. Campaign tools call it
-// before handing a cache directory to something that bypasses this
-// process (a snapshot, an rsync, a read-only consumer).
-func (s *Store) Sync() error {
-	if s.sg != nil && s.sg.w != nil {
-		return s.sg.checkpoint()
-	}
-	return nil
-}
-
-// Close checkpoints the commit log (making every segment durable on its
-// own and truncating the log) and releases the store's file handles.
-func (s *Store) Close() error {
-	var err error
-	if s.sg != nil && s.sg.w != nil {
-		err = s.sg.checkpoint()
-		if cerr := s.sg.w.closeFiles(); err == nil {
-			err = cerr
-		}
-	}
-	for _, sh := range s.shards {
-		sh.lock()
-		if cerr := sh.closeFiles(); err == nil {
-			err = cerr
-		}
-		sh.mu.Unlock()
-	}
-	if s.overlay != nil {
-		if cerr := s.overlay.close(); err == nil {
-			err = cerr
-		}
-	}
-	if s.dirLock != nil {
-		if cerr := s.dirLock.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close syncs any append whose own fsync failed and releases the store's
+// file handles.
+func (s *Store) Close() error { return s.seg.close() }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
@@ -483,35 +258,12 @@ func (s *Store) Dir() string { return s.dir }
 // Schema returns the schema version the store was opened with.
 func (s *Store) Schema() string { return s.schema }
 
-// Len returns the number of live entries across all shards, plus any
-// overlay-only entries a read-only open found in the commit log.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.state.Load().live()
-	}
-	n += len(s.overlayOnlyKeys())
-	return n
-}
-
-// overlayOnlyKeys returns the overlay keys no shard index surfaces — the
-// records only the commit log still holds. Nil without an overlay.
-func (s *Store) overlayOnlyKeys() []string {
-	if s.overlay == nil {
-		return nil
-	}
-	var keys []string
-	for k := range s.overlay.index {
-		if _, hit := s.shardFor(k).state.Load().lookup(k); !hit {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
+// Len returns the number of live entries.
+func (s *Store) Len() int { return s.seg.state.Load().live() }
 
 // ResetOnOpen reports whether Open discarded previous contents because
-// their format or schema version did not match.
-func (s *Store) ResetOnOpen() bool { return s.reset }
+// their layout, format or schema version did not match.
+func (s *Store) ResetOnOpen() bool { return s.seg.reset }
 
 // Counters returns a snapshot of the store's operation counters.
 func (s *Store) Counters() OpCounters {
@@ -551,25 +303,16 @@ type keyedRef struct {
 	ref entryRef
 }
 
-// sortRefsByOff orders refs by segment offset (one shard's write order).
+// sortRefsByOff orders refs by segment offset (write order).
 func sortRefsByOff(refs []keyedRef) {
 	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.off < refs[j].ref.off })
 }
 
 // Entries lists live entries ordered by write stamp (oldest first), with
-// the key as tiebreak: with the keyspace spread over shards there is no
-// single segment order anymore, so the stamp is the one global ordering
-// the store can still promise.
+// the key as tiebreak.
 func (s *Store) Entries() []EntryInfo {
 	var out []EntryInfo
-	for _, sh := range s.shards {
-		for k, ref := range sh.state.Load().merged() {
-			out = append(out, EntryInfo{Key: k, Type: ref.typeName,
-				PayloadBytes: ref.payloadLen, Stamp: time.Unix(ref.stamp, 0)})
-		}
-	}
-	for _, k := range s.overlayOnlyKeys() {
-		ref := s.overlay.index[k]
+	for k, ref := range s.seg.state.Load().merged() {
 		out = append(out, EntryInfo{Key: k, Type: ref.typeName,
 			PayloadBytes: ref.payloadLen, Stamp: time.Unix(ref.stamp, 0)})
 	}
@@ -587,34 +330,29 @@ type Summary struct {
 	Dir     string
 	Schema  string
 	Entries int
-	// Bytes is the total segment file size (headers, live entries, and any
-	// stale or corrupt records GC has not yet compacted away).
+	// Bytes is the segment file size (header, live entries, and any stale
+	// or corrupt records GC has not yet compacted away).
 	Bytes          int64
 	PerType        map[string]int
 	Oldest, Newest time.Time
-	// Shards is the number of segment shards.
-	Shards int
 }
 
 // Stats returns a summary of the store.
 func (s *Store) Stats() Summary {
-	sum := Summary{Dir: s.dir, Schema: s.schema, PerType: map[string]int{},
-		Shards: len(s.shards)}
-	for _, sh := range s.shards {
-		st := sh.state.Load()
-		if fi, err := st.f.Stat(); err == nil {
-			sum.Bytes += fi.Size()
+	sum := Summary{Dir: s.dir, Schema: s.schema, PerType: map[string]int{}}
+	st := s.seg.state.Load()
+	if fi, err := st.f.Stat(); err == nil {
+		sum.Bytes = fi.Size()
+	}
+	sum.Entries = st.live()
+	for _, ref := range st.merged() {
+		sum.PerType[ref.typeName]++
+		t := time.Unix(ref.stamp, 0)
+		if sum.Oldest.IsZero() || t.Before(sum.Oldest) {
+			sum.Oldest = t
 		}
-		sum.Entries += st.live()
-		for _, ref := range st.merged() {
-			sum.PerType[ref.typeName]++
-			t := time.Unix(ref.stamp, 0)
-			if sum.Oldest.IsZero() || t.Before(sum.Oldest) {
-				sum.Oldest = t
-			}
-			if t.After(sum.Newest) {
-				sum.Newest = t
-			}
+		if t.After(sum.Newest) {
+			sum.Newest = t
 		}
 	}
 	return sum
@@ -628,91 +366,22 @@ type VerifyResult struct {
 	Live int
 	// Corrupt counts records whose checksum failed.
 	Corrupt int
-	// TornBytes is the total length of unparseable segment tails, zero
-	// when every segment ends cleanly.
+	// TornBytes is the length of an unparseable segment tail, zero when
+	// the segment ends cleanly.
 	TornBytes int64
 	// GarbageBytes counts mid-segment bytes the scan had to resynchronise
 	// past (e.g. a record whose length fields were corrupted).
 	GarbageBytes int64
-	// LogRecords is the number of complete records in the commit log
-	// (zero in the checkpointed steady state), LogLive how many entries
-	// are reachable only through the log — acknowledged puts a crash left
-	// out of the segments, which a writable open replays — and LogCorrupt
-	// how many log records failed their checksum. A torn log tail is not
-	// damage: it is an append that was never acknowledged.
-	LogRecords, LogLive, LogCorrupt int
 }
 
-// Verify re-reads every record in every shard and checks its checksum,
-// then scans the commit log the same way: after a crash the log is the
-// only home of acknowledged-but-uncheckpointed puts, so a verify that
-// skipped it would vouch for less than Get serves.
-func (s *Store) Verify() (VerifyResult, error) {
-	var res VerifyResult
-	for _, sh := range s.shards {
-		if err := sh.verify(&res); err != nil {
-			return res, err
-		}
-	}
-	if err := s.verifyLog(&res); err != nil {
-		return res, err
-	}
-	// Re-read every overlay-only record (read-only opens of a crashed
-	// store), so LogLive counts exactly what Get will serve from the log.
-	for _, k := range s.overlayOnlyKeys() {
-		if _, _, ok := s.overlay.get(k); ok {
-			res.LogLive++
-		}
-	}
-	return res, nil
-}
-
-// verifyLog scans the commit log's records into res. The log is bounded
-// work — every checkpoint truncates it — and a log from another schema
-// (or one torn inside its header) vouches for nothing: the next writable
-// open discards it whole, so there is nothing in it a reader could be
-// served and it is skipped rather than reported.
-func (s *Store) verifyLog(res *VerifyResult) error {
-	f, err := os.Open(filepath.Join(s.dir, shardsDirName, commitLogName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	size := fi.Size()
-	if size == 0 {
-		return nil
-	}
-	schema, hdrLen, err := readHeader(f)
-	if err != nil || schema != s.schema || size <= hdrLen {
-		return nil
-	}
-	buf := make([]byte, size-hdrLen)
-	if _, err := io.ReadFull(io.NewSectionReader(f, hdrLen, size-hdrLen), buf); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	walkRecords(buf, hdrLen, func(off int64, rec parsedRecord, st recStatus) {
-		switch st {
-		case recGood:
-			res.LogRecords++
-		case recBadCRC:
-			res.LogCorrupt++
-		}
-	})
-	return nil
-}
+// Verify re-reads every record in the segment and checks its checksum.
+func (s *Store) Verify() (VerifyResult, error) { return s.seg.verify() }
 
 // GCPolicy selects which entries a compaction keeps.
 type GCPolicy struct {
 	// MaxAge evicts entries written longer ago; zero keeps all ages.
 	MaxAge time.Duration
-	// MaxBytes bounds the surviving record bytes across all shards,
+	// MaxBytes bounds the surviving record bytes,
 	// evicting oldest-first; zero means unbounded.
 	MaxBytes int64
 }
@@ -723,62 +392,32 @@ type GCResult struct {
 	BytesBefore, BytesAfter int64
 }
 
-// GC compacts every shard: stale duplicates, checksum-failed records and
+// GC compacts the segment: stale duplicates, checksum-failed records and
 // entries outside the policy are dropped, survivors are rewritten to a
 // temporary segment which atomically replaces the old one (temp file +
-// rename per shard). The policy is evaluated globally — MaxBytes bounds
-// the store, not each shard — in two phases: gather every shard's live
-// set, decide the global survivor set, then compact shard by shard.
-// Entries appended between the phases are kept unconditionally. Other
-// Stores sharing the directory keep reading their old segments until
-// they reopen; run GC between campaigns, not during one.
+// rename). The policy is decided and applied under the segment's exclusive
+// lock, so no append can slip between the two. Other Stores sharing the
+// directory follow the new segment at their next tail rescan.
 func (s *Store) GC(policy GCPolicy) (GCResult, error) {
-	var res GCResult
-	if s.readOnly {
-		return res, fmt.Errorf("store: read-only")
+	if s.seg.readOnly {
+		return GCResult{}, fmt.Errorf("store: read-only")
 	}
-	// Phase 1: bring every shard's index current and snapshot the live
-	// sets (plus each shard's committed size, the fence for "appended
-	// after the snapshot").
-	type shardSnap struct {
-		live []keyedRef
-		size int64
-	}
-	snaps := make([]shardSnap, len(s.shards))
-	var all []keyedRef
-	for i, sh := range s.shards {
-		sh.lock()
-		err := func() error {
-			if st := sh.state.Load(); st.dead != nil {
-				return st.dead
-			}
-			return sh.withFileLock(true, func() error { return sh.rescanLocked(true) })
-		}()
-		if err != nil {
-			sh.mu.Unlock()
-			return res, err
-		}
-		snaps[i].live = sh.liveRefs()
-		snaps[i].size = sh.state.Load().size
-		sh.mu.Unlock()
-		res.BytesBefore += snaps[i].size
-		all = append(all, snaps[i].live...)
-	}
+	return s.seg.compact(policy.survivors)
+}
 
-	// Decide the global survivor set.
-	live := all[:0]
-	cutoff := int64(0)
-	if policy.MaxAge > 0 {
-		cutoff = time.Now().Add(-policy.MaxAge).Unix()
-	}
-	for _, p := range all {
-		if p.ref.stamp < cutoff {
-			res.Evicted++
-			continue
+// survivors returns the entries of live the policy keeps.
+func (p GCPolicy) survivors(live []keyedRef) []keyedRef {
+	if p.MaxAge > 0 {
+		cutoff := time.Now().Add(-p.MaxAge).Unix()
+		young := live[:0]
+		for _, e := range live {
+			if e.ref.stamp >= cutoff {
+				young = append(young, e)
+			}
 		}
-		live = append(live, p)
+		live = young
 	}
-	if policy.MaxBytes > 0 {
+	if p.MaxBytes > 0 {
 		// Evict oldest-first until the surviving records fit.
 		sort.Slice(live, func(i, j int) bool {
 			if live[i].ref.stamp != live[j].ref.stamp {
@@ -788,85 +427,43 @@ func (s *Store) GC(policy GCPolicy) (GCResult, error) {
 		})
 		var total int64
 		kept := live[:0]
-		for _, p := range live {
-			if total+p.ref.recLen > policy.MaxBytes {
-				res.Evicted++
-				continue
+		for _, e := range live {
+			if total+e.ref.recLen <= p.MaxBytes {
+				total += e.ref.recLen
+				kept = append(kept, e)
 			}
-			total += p.ref.recLen
-			kept = append(kept, p)
 		}
 		live = kept
 	}
-	keep := make(map[string]bool, len(live))
-	for _, p := range live {
-		keep[p.key] = true
-	}
-
-	// Phase 2: compact each shard against the global survivor set. An
-	// entry past the phase-1 fence was appended while the policy was
-	// being decided and is kept unconditionally.
-	for i, sh := range s.shards {
-		fence := snaps[i].size
-		kept, _, bytesAfter, err := sh.compact(func(key string, ref entryRef) bool {
-			return ref.off >= fence || keep[key]
-		})
-		if err != nil {
-			return res, err
-		}
-		res.Kept += kept
-		res.BytesAfter += bytesAfter
-	}
-	if s.sg != nil && s.sg.w != nil {
-		// The compacted segments are durable on their own; drop the log
-		// so a crash does not replay (and resurrect) evicted records.
-		if err := s.sg.checkpoint(); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return live
 }
 
 // bundleManifest is the first file of an export bundle.
 const bundleManifestName = "MANIFEST"
 
 // Export writes every live entry as a tar bundle: a MANIFEST naming the
-// format and schema, then one file per record (shard by shard, in each
-// shard's write order). Bundles move results between machines; records
-// are layout-agnostic, and Import on the receiving side verifies every
-// checksum and routes each record to its own shard.
+// format and schema, then one file per record in write order. Bundles move
+// results between machines; Import on the receiving side verifies every
+// checksum.
 func (s *Store) Export(w io.Writer) (int, error) {
-	type shardExport struct {
-		sh   *shard
-		live []keyedRef
-	}
-	exports := make([]shardExport, 0, len(s.shards))
-	total := 0
-	for _, sh := range s.shards {
-		live := sh.liveRefs()
-		exports = append(exports, shardExport{sh, live})
-		total += len(live)
-	}
-
+	st := s.seg.state.Load()
+	live := st.liveRefs()
 	tw := tar.NewWriter(w)
 	manifest := fmt.Sprintf("activemem-store-bundle v1\nformat: %s\nschema: %s\nentries: %d\n",
-		fileMagic, s.schema, total)
+		fileMagic, s.schema, len(live))
 	if err := writeTarFile(tw, bundleManifestName, []byte(manifest)); err != nil {
 		return 0, err
 	}
 	n := 0
-	for _, ex := range exports {
-		st := ex.sh.state.Load()
-		for _, p := range ex.live {
-			rec := make([]byte, p.ref.recLen)
-			if _, err := st.f.ReadAt(rec, p.ref.off); err != nil {
-				return n, fmt.Errorf("store: %w", err)
-			}
-			if err := writeTarFile(tw, "entries/"+p.key, rec); err != nil {
-				return n, err
-			}
-			n++
+	for _, p := range live {
+		rec := make([]byte, p.ref.recLen)
+		if _, err := st.f.ReadAt(rec, p.ref.off); err != nil {
+			return n, fmt.Errorf("store: %w", err)
 		}
+		if err := writeTarFile(tw, "entries/"+p.key, rec); err != nil {
+			return n, err
+		}
+		n++
 	}
 	if err := tw.Close(); err != nil {
 		return n, fmt.Errorf("store: %w", err)
@@ -888,10 +485,11 @@ func writeTarFile(tw *tar.Writer, name string, data []byte) error {
 // Import reads an Export bundle and appends entries whose keys are absent.
 // Records are checksum-verified before they are admitted — original
 // stamps and bytes are preserved — and a bundle exported under a
-// different schema version is rejected outright. Records are routed to
-// their shards and appended one batch per shard.
+// different schema version is rejected outright. Every record is verified
+// before any is appended, and the batch is appended under one lock with
+// one fsync.
 func (s *Store) Import(r io.Reader) (added, skipped int, err error) {
-	if s.readOnly {
+	if s.seg.readOnly {
 		return 0, 0, fmt.Errorf("store: read-only")
 	}
 	tr := tar.NewReader(r)
@@ -914,8 +512,7 @@ func (s *Store) Import(r io.Reader) (added, skipped int, err error) {
 		return 0, 0, fmt.Errorf("store: bundle schema %q does not match store schema %q", schema, s.schema)
 	}
 
-	// Verify and route every record first, then append shard by shard.
-	perShard := make([][][]byte, len(s.shards))
+	var recs [][]byte
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -938,35 +535,9 @@ func (s *Store) Import(r io.Reader) (added, skipped int, err error) {
 		if status != recGood || parsed.recLen != int64(len(rec)) {
 			return 0, 0, fmt.Errorf("store: bundle entry %q fails verification", hdr.Name)
 		}
-		i := shardOf(parsed.key)
-		perShard[i] = append(perShard[i], rec)
+		recs = append(recs, rec)
 	}
-
-	for i, recs := range perShard {
-		if len(recs) == 0 {
-			continue
-		}
-		sh := s.shards[i]
-		sh.lock()
-		if st := sh.state.Load(); st.dead != nil {
-			sh.mu.Unlock()
-			return added, skipped, st.dead
-		}
-		err := sh.withFileLock(true, func() error {
-			if err := sh.rescanLocked(true); err != nil {
-				return err
-			}
-			a, sk, err := sh.appendBatchLocked(recs)
-			added += a
-			skipped += sk
-			return err
-		})
-		sh.mu.Unlock()
-		if err != nil {
-			return added, skipped, err
-		}
-	}
-	return added, skipped, nil
+	return s.seg.appendBatch(recs)
 }
 
 // manifestField extracts "name: value" from a bundle manifest.

@@ -46,26 +46,25 @@ func wantMiss(t *testing.T, s *Store, key string) {
 	}
 }
 
-// refOf returns key's index entry and the path of the shard segment holding
-// it (white-box: via the published snapshot).
+// refOf returns key's index entry and the path of the segment holding it
+// (white-box: via the published snapshot).
 func refOf(t *testing.T, s *Store, key string) (entryRef, string) {
 	t.Helper()
-	sh := s.shardFor(key)
-	ref, ok := sh.state.Load().lookup(key)
+	ref, ok := s.seg.state.Load().lookup(key)
 	if !ok {
 		t.Fatalf("key %q not indexed", key)
 	}
-	return ref, sh.segPath
+	return ref, s.seg.segPath
 }
 
 // backdate rewrites key's in-memory stamp (white-box: GC reads stamps from
 // the index, so tests age entries without waiting).
 func backdate(t *testing.T, s *Store, key string, stamp int64) {
 	t.Helper()
-	sh := s.shardFor(key)
-	sh.lock()
-	defer sh.mu.Unlock()
-	st := sh.state.Load()
+	sg := s.seg
+	sg.lock()
+	defer sg.mu.Unlock()
+	st := sg.state.Load()
 	ref, ok := st.lookup(key)
 	if !ok {
 		t.Fatalf("key %q not indexed", key)
@@ -73,40 +72,32 @@ func backdate(t *testing.T, s *Store, key string, stamp int64) {
 	ref.stamp = stamp
 	cloned := st.merged()
 	cloned[key] = ref
-	sh.state.Store(&shardState{f: st.f, index: cloned, hdrLen: st.hdrLen,
+	sg.state.Store(&segState{f: st.f, index: cloned, hdrLen: st.hdrLen,
 		size: st.size, dead: st.dead})
 }
 
-// totalSegBytes sums every shard segment's file size.
-func totalSegBytes(t *testing.T, dir string) int64 {
+// segBytes is the segment's file size.
+func segBytes(t *testing.T, dir string) int64 {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, shardsDirName, "*.seg"))
+	fi, err := os.Stat(filepath.Join(dir, segName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, seg := range segs {
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-	}
-	return total
+	return fi.Size()
 }
 
-// keysInOneShard returns n distinct keys that all route to the same shard,
-// for tests that need records to be neighbours in one segment.
-func keysInOneShard(n int) []string {
-	keys := []string{"key-000"}
-	want := shardOf(keys[0])
-	for i := 1; len(keys) < n; i++ {
-		k := fmt.Sprintf("key-%03d", i)
-		if shardOf(k) == want {
-			keys = append(keys, k)
-		}
+// dirFiles lists the names in dir.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return keys
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func TestPutGetAcrossReopen(t *testing.T) {
@@ -120,12 +111,12 @@ func TestPutGetAcrossReopen(t *testing.T) {
 	}
 	// A duplicate put reports added == false and leaves the original
 	// record in place.
-	sizeBefore := totalSegBytes(t, dir)
+	sizeBefore := segBytes(t, dir)
 	added, err := s.Put("key-a", "t.A", []byte("alpha"))
 	if err != nil || added {
 		t.Fatalf("duplicate put = (%v, %v), want (false, nil)", added, err)
 	}
-	if got := totalSegBytes(t, dir); got != sizeBefore {
+	if got := segBytes(t, dir); got != sizeBefore {
 		t.Fatalf("duplicate put grew segments %d -> %d", sizeBefore, got)
 	}
 	if err := s.Close(); err != nil {
@@ -141,8 +132,8 @@ func TestPutGetAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestTruncatedSegmentRecovers simulates a crash mid-append: a shard
-// segment is cut inside its final record, and the next open must serve
+// TestTruncatedSegmentRecovers simulates a crash mid-append: the segment
+// is cut inside its final record, and the next open must serve
 // every earlier entry and accept new appends.
 func TestTruncatedSegmentRecovers(t *testing.T) {
 	dir := t.TempDir()
@@ -180,9 +171,9 @@ func TestTruncatedSegmentRecovers(t *testing.T) {
 // checksum mismatch drops the damaged entry (its cell recomputes) while
 // entries before and after stay reachable.
 func TestFlippedPayloadByteSkipsOnlyThatEntry(t *testing.T) {
-	// All three keys in one shard, so the damaged record sits mid-segment
-	// (a bad-CRC record at a segment tail is truncated as torn instead).
-	keys := keysInOneShard(3)
+	// The damaged record sits mid-segment (a bad-CRC record at the tail is
+	// truncated as torn instead).
+	keys := []string{"key-a", "key-b", "key-c"}
 	dir := t.TempDir()
 	s := openT(t, dir)
 	put(t, s, keys[0], "t", "alpha")
@@ -227,10 +218,10 @@ func TestFlippedPayloadByteSkipsOnlyThatEntry(t *testing.T) {
 
 // TestCorruptLengthFieldResyncs pins the scan's resynchronisation: damage
 // to a record's length fields desynchronises parsing at that record, but
-// the scan recovers at the next record's magic marker, so later entries in
-// the same shard stay reachable instead of being truncated away.
+// the scan recovers at the next record's magic marker, so later entries
+// stay reachable instead of being truncated away.
 func TestCorruptLengthFieldResyncs(t *testing.T) {
-	keys := keysInOneShard(3)
+	keys := []string{"key-a", "key-b", "key-c"}
 	dir := t.TempDir()
 	s := openT(t, dir)
 	put(t, s, keys[0], "t", "alpha")
@@ -425,8 +416,7 @@ func TestGCSizeEvictsOldestAndCompacts(t *testing.T) {
 		backdate(t, s, fmt.Sprintf("key-%d", i), time.Now().Add(time.Duration(i-10)*time.Hour).Unix())
 	}
 	// Stale duplicates do not exist (puts dedupe), so the store holds 5
-	// records; keep roughly two records' worth. MaxBytes is a global
-	// bound, applied across shards.
+	// records; keep roughly two records' worth.
 	res, err := s.GC(GCPolicy{MaxBytes: 2200})
 	if err != nil {
 		t.Fatal(err)
@@ -519,24 +509,24 @@ func TestEntriesAndStats(t *testing.T) {
 	if sum.Entries != 3 || sum.PerType["t.A"] != 2 || sum.PerType["t.B"] != 1 {
 		t.Fatalf("stats = %+v", sum)
 	}
-	if sum.Bytes != totalSegBytes(t, dir) {
-		t.Fatalf("stats bytes = %d, files = %d", sum.Bytes, totalSegBytes(t, dir))
-	}
-	if sum.Shards != numShards {
-		t.Fatalf("stats shards = %d", sum.Shards)
+	if sum.Bytes != segBytes(t, dir) {
+		t.Fatalf("stats bytes = %d, files = %d", sum.Bytes, segBytes(t, dir))
 	}
 }
 
-// TestLegacyLayoutDiscarded: a directory holding only a legacy v1
-// results.seg is treated like a stale schema. A read-only open refuses
-// it; a read-write open deletes the segment, reports the reset and starts
-// an empty sharded store.
+// TestLegacyLayoutDiscarded: a directory holding only the previous
+// sharded layout (shards/) is treated like a stale schema. A read-only open
+// refuses it; a read-write open removes shards/, reports the reset and
+// starts an empty segment.
 func TestLegacyLayoutDiscarded(t *testing.T) {
 	seg := encodeHeader(testSchema)
 	seg = append(seg, encodeRecord("key-a", "t", []byte("alpha"), time.Now().Unix())...)
 	dir := t.TempDir()
-	segPath := filepath.Join(dir, v1SegmentName)
-	if err := os.WriteFile(segPath, seg, 0o644); err != nil {
+	shards := filepath.Join(dir, legacyShardsDir)
+	if err := os.MkdirAll(shards, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shards, "shard-00.seg"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -546,18 +536,129 @@ func TestLegacyLayoutDiscarded(t *testing.T) {
 	}
 
 	s := openT(t, dir)
-	defer s.Close()
 	if !s.ResetOnOpen() {
 		t.Fatal("read-write open of a legacy layout did not report a reset")
 	}
-	if _, err := os.Stat(segPath); !os.IsNotExist(err) {
-		t.Fatalf("legacy segment survived the open: %v", err)
+	if _, err := os.Stat(shards); !os.IsNotExist(err) {
+		t.Fatalf("legacy shards/ survived the open: %v", err)
 	}
 	wantMiss(t, s, "key-a")
 	put(t, s, "key-a", "t", "fresh")
 	wantEntry(t, s, "key-a", "t", "fresh")
-	if sum := s.Stats(); sum.Shards != numShards || sum.Entries != 1 {
-		t.Fatalf("stats = %+v", sum)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openT(t, dir)
+	defer s2.Close()
+	if s2.ResetOnOpen() {
+		t.Fatal("reopen after the discard reported another reset")
+	}
+	wantEntry(t, s2, "key-a", "t", "fresh")
+}
+
+// TestCommitLogCheckpointOnClose pins the on-disk shape: the segment is
+// the commit log, so a fresh open, a put and Close leave exactly the
+// segment and its lock, and the next open serves the put from it.
+func TestCommitLogCheckpointOnClose(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirFiles(t, dir); len(got) != 2 || got[0] != lockName || got[1] != segName {
+		t.Fatalf("fresh open+close left %q, want [%s %s]", got, lockName, segName)
+	}
+	s = openT(t, dir)
+	put(t, s, "close-key", "t", "v")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirFiles(t, dir); len(got) != 2 {
+		t.Fatalf("put+close left %q, want only the segment and its lock", got)
+	}
+	s2 := openT(t, dir)
+	defer s2.Close()
+	wantEntry(t, s2, "close-key", "t", "v")
+}
+
+// abandonStore has a writer acknowledge n puts and never call Close (a
+// crash after the fsyncs). It returns the keys, each stored with payload
+// "payload-"+key, and the segment's bytes as the writer left them.
+func abandonStore(t *testing.T, dir string, n int) ([]string, []byte) {
+	t.Helper()
+	s := openT(t, dir)
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("abandoned-%02d", i)
+		put(t, s, keys[i], "t", "payload-"+keys[i])
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, segName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys, seg
+}
+
+// TestCommitLogReplaysLostSegmentAppends: the segment is the commit log,
+// so a read-write reopen of an abandoned store serves every acknowledged
+// put straight from it, without a reset.
+func TestCommitLogReplaysLostSegmentAppends(t *testing.T) {
+	dir := t.TempDir()
+	keys, _ := abandonStore(t, dir, 40)
+	rw := openT(t, dir)
+	defer rw.Close()
+	if rw.ResetOnOpen() {
+		t.Fatal("reopen of an abandoned store reported a reset")
+	}
+	for _, k := range keys {
+		wantEntry(t, rw, k, "t", "payload-"+k)
+	}
+	if got := rw.Len(); got != len(keys) {
+		t.Fatalf("reopen Len = %d, want %d", got, len(keys))
+	}
+}
+
+// TestCommitLogReadOnlyOverlay: a read-only open of an abandoned store
+// serves every acknowledged put and leaves the segment byte-identical.
+func TestCommitLogReadOnlyOverlay(t *testing.T) {
+	dir := t.TempDir()
+	keys, before := abandonStore(t, dir, 40)
+	ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		wantEntry(t, ro, k, "t", "payload-"+k)
+	}
+	if got := ro.Len(); got != len(keys) {
+		t.Fatalf("read-only Len = %d, want %d", got, len(keys))
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, segName))
+	if err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("read-only open modified the segment: %v", err)
+	}
+}
+
+// TestVerifyCountsCommitLogRecords: Verify of an abandoned store, opened
+// read-only, is clean and counts every acknowledged put as a live record.
+func TestVerifyCountsCommitLogRecords(t *testing.T) {
+	dir := t.TempDir()
+	keys, _ := abandonStore(t, dir, 40)
+	ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	res, err := ro.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(keys)
+	if res.Records != n || res.Live != n || res.Corrupt != 0 || res.TornBytes != 0 || res.GarbageBytes != 0 {
+		t.Fatalf("verify = %+v, want %d clean live records", res, n)
 	}
 }
 
@@ -593,8 +694,7 @@ func TestPutValidation(t *testing.T) {
 // TestInvalidateAllowsReplacement: dropping a key lets a new Put append a
 // record that last-wins at every future scan, in this and sibling handles.
 func TestInvalidateAllowsReplacement(t *testing.T) {
-	keys := keysInOneShard(2)
-	stale, probe := keys[0], keys[1]
+	stale, probe := "key-a", "key-b"
 	dir := t.TempDir()
 	s := openT(t, dir)
 	sib := openT(t, dir)
@@ -610,8 +710,8 @@ func TestInvalidateAllowsReplacement(t *testing.T) {
 	}
 	wantEntry(t, s, stale, "t", "fresh")
 	// A sibling handle keeps serving the still-intact old record until its
-	// next tail rescan of that shard (any miss routed there triggers one),
-	// which adopts the replacement...
+	// next tail rescan (any miss triggers one), which adopts the
+	// replacement...
 	wantMiss(t, sib, probe)
 	wantEntry(t, sib, stale, "t", "fresh")
 	s.Close()
@@ -625,7 +725,7 @@ func TestInvalidateAllowsReplacement(t *testing.T) {
 // corruption test: the corrupted extent stays inside the segment and would
 // swallow the following valid record if the scan trusted it.
 func TestInBoundsCorruptLengthResyncs(t *testing.T) {
-	keys := keysInOneShard(4)
+	keys := []string{"key-a", "key-b", "key-c", "key-d"}
 	dir := t.TempDir()
 	s := openT(t, dir)
 	put(t, s, keys[0], "t", "alpha")
@@ -662,29 +762,23 @@ func TestInBoundsCorruptLengthResyncs(t *testing.T) {
 	}
 }
 
-// makeEmptyShardLayout simulates the window where a writer has created the
-// sharded layout's files but not yet written their headers.
-func makeEmptyShardLayout(t *testing.T, dir string) {
+// makeEmptySegment simulates the window where a writer has created the
+// segment file but not yet written its header.
+func makeEmptySegment(t *testing.T, dir string) {
 	t.Helper()
-	shardsDir := filepath.Join(dir, shardsDirName)
-	if err := os.MkdirAll(shardsDir, 0o755); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName), nil, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < numShards; i++ {
-		if err := os.WriteFile(shardSegPath(shardsDir, i), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
 // TestReadOnlyOpenOfEmptySegmentAdoptsHeaderLater pins the race where a
 // read-only handle opens in the window between a writer creating the
-// segment files and writing their headers: once bytes appear, the handle
+// segment file and writing its header: once bytes appear, the handle
 // must parse (and schema-check) the header instead of scanning it as
 // garbage.
 func TestReadOnlyOpenOfEmptySegmentAdoptsHeaderLater(t *testing.T) {
 	dir := t.TempDir()
-	makeEmptyShardLayout(t, dir)
+	makeEmptySegment(t, dir)
 	ro, err := Open(dir, Options{Schema: testSchema, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -707,7 +801,7 @@ func TestReadOnlyOpenOfEmptySegmentAdoptsHeaderLater(t *testing.T) {
 	// The same race against a writer of a different schema must refuse,
 	// not serve.
 	dir2 := t.TempDir()
-	makeEmptyShardLayout(t, dir2)
+	makeEmptySegment(t, dir2)
 	ro2, err := Open(dir2, Options{Schema: "other-schema", ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -746,7 +840,7 @@ func TestSegmentResetUnderLiveHandle(t *testing.T) {
 	if _, err := old.Put("key-c", "t", []byte("gamma")); err == nil {
 		t.Fatal("stale handle accepted a put into a reset segment")
 	}
-	size, err := os.Stat(old.shardFor("key-c").segPath)
+	size, err := os.Stat(old.seg.segPath)
 	if err != nil {
 		t.Fatal(err)
 	}

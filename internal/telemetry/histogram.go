@@ -72,7 +72,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // Merge adds o into s element-wise. Log-bucket layouts are universal, so
-// merging is exact — the property that lets per-shard or per-worker
+// merging is exact — the property that lets per-worker
 // histograms aggregate into one distribution with no resampling error.
 func (s *HistSnapshot) Merge(o HistSnapshot) {
 	for i := range s.Counts {
@@ -145,49 +145,6 @@ func writeHistExpo(b *strings.Builder, name, ls string, s HistSnapshot) {
 func (h *Histogram) statusValue() any {
 	s := h.Snapshot()
 	return map[string]any{"count": s.Count(), "sum_seconds": float64(s.SumNs) / 1e9}
-}
-
-// HistogramVec is a fixed-cardinality family of histograms indexed by a
-// small integer — the per-shard latency shape: 16 store shards, one
-// histogram each, label rendered as a zero-padded index.
-type HistogramVec struct {
-	hs []*Histogram
-}
-
-// NewHistogramVec registers n histograms under one name, labelled
-// key="00".."NN".
-func (r *Registry) NewHistogramVec(name, help, key string, n int) *HistogramVec {
-	v := &HistogramVec{hs: make([]*Histogram, n)}
-	for i := range v.hs {
-		v.hs[i] = r.NewHistogram(name, help, Label{Key: key, Value: twoDigit(i)})
-	}
-	return v
-}
-
-// Observe records one latency into member i.
-func (v *HistogramVec) Observe(i int, ns int64) { v.hs[i].Observe(ns) }
-
-// At returns member i (for tests and merging).
-func (v *HistogramVec) At(i int) *Histogram { return v.hs[i] }
-
-// Len returns the member count.
-func (v *HistogramVec) Len() int { return len(v.hs) }
-
-// MergedSnapshot merges every member's snapshot — exact, because the
-// bucket layout is universal.
-func (v *HistogramVec) MergedSnapshot() HistSnapshot {
-	var s HistSnapshot
-	for _, h := range v.hs {
-		s.Merge(h.Snapshot())
-	}
-	return s
-}
-
-func twoDigit(i int) string {
-	if i < 10 {
-		return "0" + strconv.Itoa(i)
-	}
-	return strconv.Itoa(i)
 }
 
 // sortedBucketUpperNs lists the exposition bucket upper bounds in

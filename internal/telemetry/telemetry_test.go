@@ -56,7 +56,7 @@ func TestHistogramConcurrentAndMerge(t *testing.T) {
 	shared := r.NewHistogram("t_shared_ns", "test")
 	parts := make([]*Histogram, 8)
 	for i := range parts {
-		parts[i] = r.NewHistogram("t_part_ns", "test", Label{Key: "w", Value: twoDigit(i)})
+		parts[i] = r.NewHistogram("t_part_ns", "test", Label{Key: "w", Value: fmt.Sprintf("%02d", i)})
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < len(parts); w++ {
