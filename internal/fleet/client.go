@@ -1,9 +1,9 @@
 // The worker side of the fleet: a fault-tolerant client over the
-// coordinator RPCs, built from the same machinery that keeps the remote
-// memo tier harmless when its server misbehaves — per-attempt deadlines,
-// jittered exponential backoff on retryable failures, and a circuit
-// breaker so a dead coordinator costs the campaign one deadline budget
-// per probe window, not one per cell. The degradation contract is the
+// coordinator RPCs, sent through the same remote.Link that keeps the
+// remote memo tier harmless when its server misbehaves — per-attempt
+// deadlines, jittered exponential backoff on retryable failures, and a
+// circuit breaker so a dead coordinator costs the campaign one deadline
+// budget per probe window, not one per cell. The degradation contract is the
 // heart of it: any claim the client cannot complete within its budget is
 // answered locally with ActionUnreachable, and the executor computes the
 // cell solo. A flapping coordinator therefore degrades a distributed
@@ -21,14 +21,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,77 +44,27 @@ type ClientOptions struct {
 	// 401 marks the coordinator unreachable for the process lifetime.
 	AuthToken string
 
-	// Timeout bounds each RPC attempt (default 2s).
-	Timeout time.Duration
-	// Retries is the number of re-attempts after a retryable failure
-	// (default 2; all fleet RPCs are idempotent — a re-claimed lease is
-	// re-affirmed, a replayed ack is a counted late ack).
-	Retries int
-	// BackoffBase/BackoffMax shape the jittered exponential backoff
-	// between retries (defaults 50ms, 1s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// BreakerThreshold consecutive failed RPCs open the breaker
-	// (default 3); BreakerCooldown is the open window (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// LinkOptions tunes the per-RPC deadline, retries and breaker, with
+	// the same defaults as the remote tier. Every fleet RPC is idempotent
+	// — a re-claimed lease is re-affirmed, a replayed ack is a counted
+	// late ack — so all of them retry.
+	remote.LinkOptions
 
 	// HeartbeatEvery overrides the heartbeat cadence (default: a third
 	// of the TTL the coordinator advertises on each granted lease).
 	HeartbeatEvery time.Duration
 }
 
-func (o *ClientOptions) withDefaults() {
-	if o.Worker == "" {
-		o.Worker = DefaultWorkerID()
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Second
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-}
-
 // ClientOptionsFromEnv builds ClientOptions for baseURL, honouring
 //
-//	ACTIVEMEM_FLEET_TIMEOUT   per-attempt RPC deadline (Go duration)
-//	ACTIVEMEM_FLEET_RETRIES   re-attempts after a retryable failure
 //	ACTIVEMEM_FLEET_WORKER    worker identity override
 //	ACTIVEMEM_CACHE_TOKEN     shared-secret bearer token
-//
-// Unset or unparsable variables keep the defaults.
 func ClientOptionsFromEnv(baseURL string) ClientOptions {
-	o := ClientOptions{
+	return ClientOptions{
 		BaseURL:   baseURL,
 		Worker:    os.Getenv("ACTIVEMEM_FLEET_WORKER"),
 		AuthToken: remote.TokenFromEnv(),
 	}
-	if d, err := time.ParseDuration(os.Getenv("ACTIVEMEM_FLEET_TIMEOUT")); err == nil && d > 0 {
-		o.Timeout = d
-	}
-	if n, err := strconv.Atoi(os.Getenv("ACTIVEMEM_FLEET_RETRIES")); err == nil && n >= 0 {
-		o.Retries = n
-		if n == 0 {
-			o.Retries = -1 // withDefaults maps 0 to the default; -1 means "no retries"
-		}
-	}
-	return o
 }
 
 // Decision is the client-side claim verdict handed to the executor.
@@ -133,10 +78,9 @@ type Decision struct {
 // Client is one worker's coordinator link. Safe for concurrent use by
 // all executor workers in the process.
 type Client struct {
-	base string
-	opts ClientOptions
-	hc   *http.Client
-	br   *remote.Breaker
+	worker         string
+	heartbeatEvery time.Duration
+	link           *remote.Link
 
 	mu   sync.Mutex
 	held map[string]uint64 // cell key → live lease id
@@ -149,57 +93,46 @@ type Client struct {
 	closed    atomic.Bool
 	closeOnce sync.Once
 
-	authBad  atomic.Bool
-	authOnce sync.Once
-
 	nLeased, nStolen, nWaited, nDegraded atomic.Uint64
 	nDone, nLateAcks, nLost, nFailed     atomic.Uint64
-	nRPCs, nErrors, nRetries, nFastFails atomic.Uint64
+	nErrors, nFastFails                  atomic.Uint64
 }
 
 // NewClient returns a client for the coordinator at o.BaseURL and starts
 // its heartbeater. The only error is a malformed URL: runtime failures
 // degrade to solo compute instead.
 func NewClient(o ClientOptions) (*Client, error) {
-	o.withDefaults()
-	base := o.BaseURL
-	if base == "" {
-		return nil, fmt.Errorf("fleet: empty coordinator URL")
+	link, err := remote.NewLink(o.BaseURL, o.AuthToken, "fleet: coordinator", "running solo",
+		o.LinkOptions, remote.LinkMetrics{Attempts: mClientRPCs,
+			BreakerOpens: mClientBreakerOpens, BreakerState: mClientBreakerState})
+	if err != nil {
+		return nil, err
 	}
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	u, err := url.Parse(base)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return nil, fmt.Errorf("fleet: invalid coordinator URL %q", o.BaseURL)
+	if o.Worker == "" {
+		o.Worker = DefaultWorkerID()
 	}
 	c := &Client{
-		base:   strings.TrimRight(base, "/"),
-		opts:   o,
-		hc:     &http.Client{},
-		br:     remote.NewBreaker(o.BreakerThreshold, o.BreakerCooldown, mClientBreakerOpens, mClientBreakerState),
-		held:   map[string]uint64{},
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		hbDone: make(chan struct{}),
+		worker:         o.Worker,
+		heartbeatEvery: o.HeartbeatEvery,
+		link:           link,
+		held:           map[string]uint64{},
+		wake:           make(chan struct{}, 1),
+		stop:           make(chan struct{}),
+		hbDone:         make(chan struct{}),
 	}
 	c.ttlNs.Store(int64(15 * time.Second)) // coordinator default until learned
 	go c.heartbeater()
 	return c, nil
 }
 
-// Worker returns this client's fleet identity.
-func (c *Client) Worker() string { return c.opts.Worker }
-
 // BaseURL returns the normalised coordinator URL.
-func (c *Client) BaseURL() string { return c.base }
+func (c *Client) BaseURL() string { return c.link.Base() }
 
 // Claim asks for the right to compute key. Every failure mode folds
 // into Decision{Action: ActionUnreachable}: the caller computes solo.
-func (c *Client) Claim(key, label string) Decision {
+func (c *Client) Claim(key string) Decision {
 	var resp ClaimResponse
-	err := c.post("claim", ClaimRequest{Key: key, Label: label, Worker: c.opts.Worker}, &resp)
-	if err != nil {
+	if !c.post("claim", ClaimRequest{Key: key, Worker: c.worker}, &resp) {
 		c.nDegraded.Add(1)
 		mClientDegraded.Inc()
 		return Decision{Action: ActionUnreachable}
@@ -252,7 +185,7 @@ func (c *Client) Done(key string) bool {
 		return false
 	}
 	var resp DoneResponse
-	if err := c.post("done", DoneRequest{Key: key, Worker: c.opts.Worker, Lease: id}, &resp); err != nil {
+	if !c.post("done", DoneRequest{Key: key, Worker: c.worker, Lease: id}, &resp) {
 		return false
 	}
 	if resp.Accepted {
@@ -275,23 +208,17 @@ func (c *Client) Fail(key, errMsg string) (aborted bool) {
 	}
 	c.nFailed.Add(1)
 	var resp FailResponse
-	if err := c.post("fail", FailRequest{Key: key, Worker: c.opts.Worker, Lease: id, Error: errMsg}, &resp); err != nil {
+	if !c.post("fail", FailRequest{Key: key, Worker: c.worker, Lease: id, Error: errMsg}, &resp) {
 		return false
 	}
 	return resp.Aborted
-}
-
-// PostManifest pre-registers cells with the coordinator (advisory).
-func (c *Client) PostManifest(cells []ManifestCell) error {
-	var resp ManifestResponse
-	return c.post("manifest", ManifestRequest{Cells: cells}, &resp)
 }
 
 // heartbeater extends held leases at a third of the advertised TTL.
 func (c *Client) heartbeater() {
 	defer close(c.hbDone)
 	for {
-		interval := c.opts.HeartbeatEvery
+		interval := c.heartbeatEvery
 		if interval <= 0 {
 			interval = time.Duration(c.ttlNs.Load()) / 3
 		}
@@ -315,7 +242,7 @@ func (c *Client) heartbeater() {
 			continue
 		}
 		var resp HeartbeatResponse
-		if err := c.post("heartbeat", HeartbeatRequest{Worker: c.opts.Worker, Leases: refs}, &resp); err != nil {
+		if !c.post("heartbeat", HeartbeatRequest{Worker: c.worker, Leases: refs}, &resp) {
 			continue // the breaker owns the back-off; leases may expire
 		}
 		if len(resp.Lost) > 0 {
@@ -331,112 +258,51 @@ func (c *Client) heartbeater() {
 	}
 }
 
-var (
-	errFastFail     = errors.New("fleet: breaker open")
-	errUnauthorized = errors.New("fleet: unauthorized")
-	errClosed       = errors.New("fleet: client closed")
-)
-
-// post runs one logical RPC: breaker gate, bounded retry loop, JSON
-// decode into resp.
-func (c *Client) post(endpoint string, req, resp any) error {
+// post runs one RPC through the link and decodes the JSON answer into
+// resp, reporting whether it arrived. A dial error, a 5xx or a torn
+// answer retries; any other status fails the call.
+func (c *Client) post(endpoint string, req, resp any) bool {
 	if c.closed.Load() {
-		return errClosed
-	}
-	if c.authBad.Load() {
-		return errUnauthorized
-	}
-	if !c.br.Allow() {
-		c.nFastFails.Add(1)
-		return errFastFail
+		return false
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		c.br.Success() // not the server's fault
-		return err
+		return false
 	}
-	for attempt := 0; ; attempt++ {
-		c.nRPCs.Add(1)
-		mClientRPCs.Inc()
-		err := c.postOnce(endpoint, body, resp)
+	answered := false
+	res := c.link.Do(func(ctx context.Context) (*http.Request, error) {
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
+			c.link.Base()+PathPrefix+endpoint, bytes.NewReader(body))
 		if err == nil {
-			c.br.Success()
-			return nil
+			hreq.Header.Set("Content-Type", "application/json")
 		}
-		if errors.Is(err, errUnauthorized) {
-			c.br.Success() // the server answered; our credential is bad
-			c.noteUnauthorized()
-			return err
+		return hreq, err
+	}, func(hresp *http.Response) remote.Verdict {
+		switch {
+		case hresp.StatusCode == http.StatusOK:
+			if json.NewDecoder(io.LimitReader(hresp.Body, maxBody)).Decode(resp) != nil {
+				return remote.Retry // torn response
+			}
+			answered = true
+			return remote.Answered
+		case hresp.StatusCode >= 500:
+			return remote.Retry
+		default:
+			return remote.Failed
 		}
-		if !retryable(err) || attempt >= c.opts.Retries {
-			c.br.Failure()
-			c.nErrors.Add(1)
-			mClientErrors.Inc()
-			return err
-		}
-		c.nRetries.Add(1)
-		time.Sleep(remote.JitteredBackoff(c.opts.BackoffBase, c.opts.BackoffMax, attempt))
-	}
-}
-
-// retryableError marks failures where the RPC may have never reached a
-// verdict; fleet RPCs are idempotent, so replaying them is always safe.
-type retryableError struct{ err error }
-
-func (e retryableError) Error() string { return e.err.Error() }
-func (e retryableError) Unwrap() error { return e.err }
-
-func retryable(err error) bool {
-	var r retryableError
-	return errors.As(err, &r)
-}
-
-// postOnce performs one attempt under its own deadline.
-func (c *Client) postOnce(endpoint string, body []byte, resp any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+PathPrefix+endpoint, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if c.opts.AuthToken != "" {
-		hreq.Header.Set("Authorization", "Bearer "+c.opts.AuthToken)
-	}
-	hresp, err := c.hc.Do(hreq)
-	if err != nil {
-		return retryableError{err} // dial/timeout/reset: no verdict reached
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(hresp.Body, 4<<10))
-		hresp.Body.Close()
-	}()
+	})
 	switch {
-	case hresp.StatusCode == http.StatusOK:
-		dec := json.NewDecoder(io.LimitReader(hresp.Body, maxBody))
-		if err := dec.Decode(resp); err != nil {
-			return retryableError{fmt.Errorf("fleet: torn response: %w", err)}
-		}
-		return nil
-	case hresp.StatusCode == http.StatusUnauthorized:
-		return errUnauthorized
-	case hresp.StatusCode >= 500:
-		return retryableError{fmt.Errorf("fleet: server error %d", hresp.StatusCode)}
-	default:
-		return fmt.Errorf("fleet: unexpected status %d", hresp.StatusCode)
+	case answered:
+		return true
+	case res == remote.CallFastFailed:
+		c.nFastFails.Add(1)
+	case res == remote.CallDone || res == remote.CallExhausted:
+		// The breaker counted a failure: the coordinator is sick, not
+		// merely refusing our credential.
+		c.nErrors.Add(1)
+		mClientErrors.Inc()
 	}
-}
-
-// noteUnauthorized downs the link for the process lifetime with one
-// warning; every later claim degrades to solo compute.
-func (c *Client) noteUnauthorized() {
-	if c.authBad.CompareAndSwap(false, true) {
-		c.authOnce.Do(func() {
-			fmt.Fprintf(os.Stderr,
-				"fleet: coordinator at %s rejected our auth token (401); running solo\n", c.base)
-		})
-	}
+	return false
 }
 
 // Close stops the heartbeater and releases connections. Held leases are
@@ -448,7 +314,7 @@ func (c *Client) Close() {
 		c.closed.Store(true)
 		close(c.stop)
 		<-c.hbDone
-		c.hc.CloseIdleConnections()
+		c.link.Close()
 	})
 }
 
@@ -476,7 +342,7 @@ func (c *Client) Stats() ClientStats {
 		return ClientStats{}
 	}
 	return ClientStats{
-		Worker:    c.opts.Worker,
+		Worker:    c.worker,
 		Leased:    c.nLeased.Load(),
 		Stolen:    c.nStolen.Load(),
 		Waited:    c.nWaited.Load(),
@@ -485,9 +351,9 @@ func (c *Client) Stats() ClientStats {
 		LateAcks:  c.nLateAcks.Load(),
 		Lost:      c.nLost.Load(),
 		Failed:    c.nFailed.Load(),
-		RPCs:      c.nRPCs.Load(),
+		RPCs:      c.link.Attempts(),
 		RPCErrors: c.nErrors.Load(),
-		Retries:   c.nRetries.Load(),
+		Retries:   c.link.Retries(),
 		FastFails: c.nFastFails.Load(),
 	}
 }

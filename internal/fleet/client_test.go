@@ -30,13 +30,15 @@ func startCoord(t *testing.T, opts Options, token string) (*httptest.Server, *Co
 func newTestClient(t *testing.T, url string, mod func(*ClientOptions)) *Client {
 	t.Helper()
 	o := ClientOptions{
-		BaseURL:          url,
-		Worker:           "test-worker",
-		Timeout:          2 * time.Second,
-		Retries:          -1, // no retries unless a test opts in
-		BackoffBase:      time.Millisecond,
-		BreakerThreshold: 1000, // effectively off unless a test opts in
-		HeartbeatEvery:   time.Hour,
+		BaseURL: url,
+		Worker:  "test-worker",
+		LinkOptions: remote.LinkOptions{
+			Timeout:          2 * time.Second,
+			Retries:          -1, // no retries unless a test opts in
+			BackoffBase:      time.Millisecond,
+			BreakerThreshold: 1000, // effectively off unless a test opts in
+		},
+		HeartbeatEvery: time.Hour,
 	}
 	if mod != nil {
 		mod(&o)
@@ -53,19 +55,19 @@ func TestClientRoundtrip(t *testing.T) {
 	srv, co := startCoord(t, Options{}, "")
 	c := newTestClient(t, srv.URL, nil)
 
-	d := c.Claim("k1", "batch")
+	d := c.Claim("k1")
 	if d.Action != ActionRun {
 		t.Fatalf("claim = %+v, want run", d)
 	}
 	// A second identity must wait, with a positive poll hint.
 	c2 := newTestClient(t, srv.URL, func(o *ClientOptions) { o.Worker = "other" })
-	if d2 := c2.Claim("k1", "batch"); d2.Action != ActionWait || d2.RetryIn <= 0 {
+	if d2 := c2.Claim("k1"); d2.Action != ActionWait || d2.RetryIn <= 0 {
 		t.Fatalf("concurrent claim = %+v, want wait", d2)
 	}
 	if !c.Done("k1") {
 		t.Fatal("ack under live lease rejected")
 	}
-	if d2 := c2.Claim("k1", "batch"); d2.Action != ActionDone {
+	if d2 := c2.Claim("k1"); d2.Action != ActionDone {
 		t.Fatalf("claim after done = %+v, want done", d2)
 	}
 	// Acking a cell we never leased is a local late ack, no RPC.
@@ -85,13 +87,13 @@ func TestClientFailAborts(t *testing.T) {
 	srv, co := startCoord(t, Options{}, "")
 	c := newTestClient(t, srv.URL, nil)
 
-	if d := c.Claim("k1", "b"); d.Action != ActionRun {
+	if d := c.Claim("k1"); d.Action != ActionRun {
 		t.Fatalf("claim = %+v", d)
 	}
 	if !c.Fail("k1", "compute exploded") {
 		t.Fatal("first-error fail did not report abort")
 	}
-	if d := c.Claim("k2", "b"); d.Action != ActionAbort || d.Err != "compute exploded" {
+	if d := c.Claim("k2"); d.Action != ActionAbort || d.Err != "compute exploded" {
 		t.Fatalf("post-abort claim = %+v", d)
 	}
 	if s := co.Status(); !s.Aborted {
@@ -111,7 +113,7 @@ func TestClientUnreachableDegradesAndTrips(t *testing.T) {
 	})
 
 	for i := 0; i < 5; i++ {
-		if d := c.Claim("k1", "b"); d.Action != ActionUnreachable {
+		if d := c.Claim("k1"); d.Action != ActionUnreachable {
 			t.Fatalf("claim %d = %+v, want unreachable", i, d)
 		}
 	}
@@ -142,11 +144,34 @@ func TestClientRetriesServerErrors(t *testing.T) {
 	t.Cleanup(flip.Close)
 
 	c := newTestClient(t, flip.URL, func(o *ClientOptions) { o.Retries = 2 })
-	if d := c.Claim("k1", "b"); d.Action != ActionRun {
+	if d := c.Claim("k1"); d.Action != ActionRun {
 		t.Fatalf("claim through flaky link = %+v, want run", d)
 	}
 	if st := c.Stats(); st.Retries != 1 || st.RPCErrors != 0 {
 		t.Fatalf("stats = %+v, want exactly one retry and no errors", st)
+	}
+}
+
+// A 200 whose JSON answer is torn mid-body is retried like a 5xx: the
+// RPC is idempotent, and the second answer is the one the worker uses.
+func TestClientRetriesTornAnswer(t *testing.T) {
+	var calls atomic.Int64
+	real := NewHandler(NewCoordinator(Options{LeaseTTL: 10 * time.Second}))
+	torn := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.Write([]byte(`{"action":"ru`))
+			return
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(torn.Close)
+
+	c := newTestClient(t, torn.URL, func(o *ClientOptions) { o.Retries = 1 })
+	if d := c.Claim("k1"); d.Action != ActionRun {
+		t.Fatalf("claim through a torn answer = %+v, want run", d)
+	}
+	if st := c.Stats(); st.Retries != 1 || st.RPCs != 2 || st.RPCErrors != 0 {
+		t.Fatalf("stats = %+v, want one retry over two RPCs and no errors", st)
 	}
 }
 
@@ -157,7 +182,7 @@ func TestClientUnauthorizedRunsSolo(t *testing.T) {
 	c := newTestClient(t, srv.URL, func(o *ClientOptions) { o.AuthToken = "wrong-token" })
 
 	for i := 0; i < 3; i++ {
-		if d := c.Claim("k1", "b"); d.Action != ActionUnreachable {
+		if d := c.Claim("k1"); d.Action != ActionUnreachable {
 			t.Fatalf("claim %d = %+v, want unreachable", i, d)
 		}
 	}
@@ -171,7 +196,7 @@ func TestClientUnauthorizedRunsSolo(t *testing.T) {
 
 	// The right token works against the same server.
 	ok := newTestClient(t, srv.URL, func(o *ClientOptions) { o.AuthToken = "right-token" })
-	if d := ok.Claim("k1", "b"); d.Action != ActionRun {
+	if d := ok.Claim("k1"); d.Action != ActionRun {
 		t.Fatalf("authed claim = %+v, want run", d)
 	}
 }
@@ -181,7 +206,7 @@ func TestHeartbeaterExtendsLease(t *testing.T) {
 	srv, co := startCoord(t, Options{LeaseTTL: 100 * time.Millisecond}, "")
 	c := newTestClient(t, srv.URL, func(o *ClientOptions) { o.HeartbeatEvery = 0 }) // TTL/3
 
-	if d := c.Claim("k1", "b"); d.Action != ActionRun {
+	if d := c.Claim("k1"); d.Action != ActionRun {
 		t.Fatalf("claim = %+v", d)
 	}
 	time.Sleep(500 * time.Millisecond) // five TTLs
@@ -200,7 +225,7 @@ func TestSilentWorkerLosesLease(t *testing.T) {
 	srv, co := startCoord(t, Options{LeaseTTL: 50 * time.Millisecond}, "")
 	c := newTestClient(t, srv.URL, nil) // HeartbeatEvery: 1h — effectively silent
 
-	if d := c.Claim("k1", "b"); d.Action != ActionRun {
+	if d := c.Claim("k1"); d.Action != ActionRun {
 		t.Fatalf("claim = %+v", d)
 	}
 	time.Sleep(120 * time.Millisecond)
@@ -211,18 +236,6 @@ func TestSilentWorkerLosesLease(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	if s := co.Status(); s.Expired != 1 || s.LateAcks != 1 || s.CellsDone != 0 {
-		t.Fatalf("status = %+v", s)
-	}
-}
-
-func TestClientPostManifest(t *testing.T) {
-	srv, co := startCoord(t, Options{}, "")
-	c := newTestClient(t, srv.URL, nil)
-
-	if err := c.PostManifest([]ManifestCell{{Key: "k1", Label: "a"}, {Key: "k2", Label: "a"}}); err != nil {
-		t.Fatal(err)
-	}
-	if s := co.Status(); s.Cells != 2 || s.Pending != 2 {
 		t.Fatalf("status = %+v", s)
 	}
 }

@@ -13,6 +13,18 @@ import (
 	"time"
 )
 
+const (
+	// maxLeases caps concurrent leases per cell, original plus steals.
+	// More duplicates than that burn compute without improving tail
+	// latency.
+	maxLeases = 2
+	// workerTableSize bounds the per-worker accounting table; when full,
+	// the stalest entry is evicted. Aggregate counters are exact
+	// regardless — only per-worker attribution is bounded,
+	// eHashPipe-style.
+	workerTableSize = 64
+)
+
 // Options tunes a Coordinator. Zero values select the documented
 // defaults.
 type Options struct {
@@ -25,10 +37,6 @@ type Options struct {
 	// First completion wins; content addressing makes the loser's work
 	// byte-identical and therefore harmless.
 	StealAfter time.Duration
-	// MaxLeases caps concurrent leases per cell, original plus steals
-	// (default 2). More duplicates than that burns compute without
-	// improving tail latency.
-	MaxLeases int
 	// KeepGoing selects the failure policy: false (default) aborts the
 	// campaign on the first failed cell; true re-leases a failed cell up
 	// to MaxRetries times and then marks it permanently failed.
@@ -37,11 +45,6 @@ type Options struct {
 	// KeepGoing (default 2). Lease expiries are not failures and do not
 	// count: a crashed worker says nothing about the cell.
 	MaxRetries int
-	// WorkerTableSize bounds the per-worker accounting table (default
-	// 64); when full, the stalest entry is evicted. Aggregate counters
-	// are exact regardless — only per-worker attribution is bounded,
-	// eHashPipe-style.
-	WorkerTableSize int
 	// Now injects the clock for tests (default time.Now).
 	Now func() time.Time
 }
@@ -53,14 +56,8 @@ func (o *Options) withDefaults() {
 	if o.StealAfter <= 0 {
 		o.StealAfter = 45 * time.Second
 	}
-	if o.MaxLeases <= 0 {
-		o.MaxLeases = 2
-	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 2
-	}
-	if o.WorkerTableSize <= 0 {
-		o.WorkerTableSize = 64
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -85,10 +82,8 @@ type lease struct {
 }
 
 type cell struct {
-	key      string
-	label    string
 	state    cellState
-	leases   []lease // live leases, oldest first; len ≤ MaxLeases
+	leases   []lease // live leases, oldest first; len ≤ maxLeases
 	failures int     // compute failures so far (keep-going policy)
 	err      string  // terminal error once state == cellFailed
 }
@@ -119,8 +114,8 @@ type Coordinator struct {
 	nLateAcks, nDone, nFailed             uint64
 }
 
-// NewCoordinator returns a coordinator with no cells registered; the
-// manifest endpoint and incoming claims populate the keyspace.
+// NewCoordinator returns a coordinator with no cells registered;
+// incoming claims populate the keyspace.
 func NewCoordinator(o Options) *Coordinator {
 	o.withDefaults()
 	return &Coordinator{
@@ -137,7 +132,7 @@ func (c *Coordinator) touchWorker(id string, now time.Time) *workerInfo {
 		w.LastSeen = now
 		return w
 	}
-	if len(c.workers) >= c.opts.WorkerTableSize {
+	if len(c.workers) >= workerTableSize {
 		var stalest *workerInfo
 		for _, w := range c.workers {
 			if stalest == nil || w.LastSeen.Before(stalest.LastSeen) {
@@ -194,11 +189,8 @@ func (c *Coordinator) Claim(req ClaimRequest) ClaimResponse {
 	}
 	ce, ok := c.cells[req.Key]
 	if !ok {
-		ce = &cell{key: req.Key, label: req.Label}
+		ce = &cell{}
 		c.cells[req.Key] = ce
-	}
-	if ce.label == "" {
-		ce.label = req.Label
 	}
 
 	switch ce.state {
@@ -226,7 +218,7 @@ func (c *Coordinator) Claim(req ClaimRequest) ClaimResponse {
 		}
 		// The oldest live lease has been running past the steal threshold
 		// and there is room for a duplicate: this claimant steals.
-		if len(ce.leases) < c.opts.MaxLeases &&
+		if len(ce.leases) < maxLeases &&
 			now.Sub(ce.leases[0].granted) >= c.opts.StealAfter {
 			resp := c.grant(ce, w, now, true)
 			mClaims[claimRun].Inc()
@@ -395,28 +387,6 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 		}
 	}
 	return HeartbeatResponse{Lost: lost}
-}
-
-// Manifest pre-registers cells (advisory; see ManifestRequest).
-func (c *Coordinator) Manifest(req ManifestRequest) ManifestResponse {
-	now := c.opts.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.prune(now)
-
-	var resp ManifestResponse
-	for _, mc := range req.Cells {
-		if mc.Key == "" {
-			continue
-		}
-		if _, ok := c.cells[mc.Key]; ok {
-			resp.Known++
-			continue
-		}
-		c.cells[mc.Key] = &cell{key: mc.Key, label: mc.Label}
-		resp.Registered++
-	}
-	return resp
 }
 
 // WorkerStatus is one row of per-worker accounting in Status.

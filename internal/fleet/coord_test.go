@@ -35,7 +35,7 @@ func newTestCoord(clk *testClock, mod func(*Options)) *Coordinator {
 
 func mustClaimRun(t *testing.T, c *Coordinator, key, worker string) ClaimResponse {
 	t.Helper()
-	resp := c.Claim(ClaimRequest{Key: key, Label: "test", Worker: worker})
+	resp := c.Claim(ClaimRequest{Key: key, Worker: worker})
 	if resp.Action != ActionRun {
 		t.Fatalf("claim(%s by %s) = %+v, want run", key, worker, resp)
 	}
@@ -164,7 +164,7 @@ func TestStealRaceExactlyOneCompletion(t *testing.T) {
 			if !r2.Steal {
 				t.Fatalf("duplicate grant not marked steal: %+v", r2)
 			}
-			// MaxLeases caps further duplicates.
+			// maxLeases caps further duplicates.
 			if resp := c.Claim(ClaimRequest{Key: "k1", Worker: "w3"}); resp.Action != ActionWait {
 				t.Fatalf("over-cap claim = %+v, want wait", resp)
 			}
@@ -275,53 +275,30 @@ func TestExpiryDoesNotConsumeFailureBudget(t *testing.T) {
 	}
 }
 
-func TestManifestRegistersAdvisoryCells(t *testing.T) {
-	clk := newTestClock()
-	c := newTestCoord(clk, nil)
-
-	m := c.Manifest(ManifestRequest{Cells: []ManifestCell{
-		{Key: "k1", Label: "a"}, {Key: "k2", Label: "b"}, {Key: ""},
-	}})
-	if m.Registered != 2 || m.Known != 0 {
-		t.Fatalf("manifest = %+v", m)
-	}
-	m = c.Manifest(ManifestRequest{Cells: []ManifestCell{{Key: "k1"}, {Key: "k3"}}})
-	if m.Registered != 1 || m.Known != 1 {
-		t.Fatalf("re-manifest = %+v", m)
-	}
-	if s := c.Status(); s.Cells != 3 || s.Pending != 3 {
-		t.Fatalf("status = %+v", s)
-	}
-	// Claims for unregistered keys still register on the fly.
-	mustClaimRun(t, c, "k9", "w1")
-	if s := c.Status(); s.Cells != 4 {
-		t.Fatalf("dynamic registration missing: %+v", s)
-	}
-}
-
 // The worker table is bounded: the stalest row is evicted, aggregate
 // counters stay exact.
 func TestWorkerTableBounded(t *testing.T) {
 	clk := newTestClock()
-	c := newTestCoord(clk, func(o *Options) { o.WorkerTableSize = 4 })
+	c := newTestCoord(clk, nil)
 
-	for i := 0; i < 8; i++ {
+	const workers = workerTableSize + 1
+	for i := 0; i < workers; i++ {
 		clk.Advance(time.Second)
 		key := fmt.Sprintf("k%d", i)
-		worker := fmt.Sprintf("w%d", i)
+		worker := fmt.Sprintf("w%03d", i)
 		r := mustClaimRun(t, c, key, worker)
 		c.Done(DoneRequest{Key: key, Worker: worker, Lease: r.Lease})
 	}
 	s := c.Status()
-	if len(s.Workers) != 4 {
-		t.Fatalf("worker table holds %d rows, want 4", len(s.Workers))
+	if len(s.Workers) != workerTableSize {
+		t.Fatalf("worker table holds %d rows, want %d", len(s.Workers), workerTableSize)
 	}
 	for _, w := range s.Workers {
-		if w.ID < "w4" {
+		if w.ID == "w000" {
 			t.Fatalf("stale worker %s survived eviction", w.ID)
 		}
 	}
-	if s.CellsDone != 8 || s.LeasesGranted != 8 {
+	if s.CellsDone != workers || s.LeasesGranted != workers {
 		t.Fatalf("aggregate counters inexact after eviction: %+v", s)
 	}
 }

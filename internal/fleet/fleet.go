@@ -40,7 +40,6 @@ import (
 //	POST {prefix}done       DoneRequest      → DoneResponse
 //	POST {prefix}fail       FailRequest      → FailResponse
 //	POST {prefix}heartbeat  HeartbeatRequest → HeartbeatResponse
-//	POST {prefix}manifest   ManifestRequest  → ManifestResponse
 //	GET  {prefix}status                      → Status
 const PathPrefix = "/v1/campaign/"
 
@@ -57,11 +56,10 @@ const (
 )
 
 // ClaimRequest asks for the right to compute one cell. Key is the
-// content-addressed cell key (lab.KeyOf); Label is the campaign label
-// for operator-facing accounting; Worker identifies the claimant.
+// content-addressed cell key (lab.KeyOf); Worker identifies the
+// claimant.
 type ClaimRequest struct {
 	Key    string `json:"key"`
-	Label  string `json:"label,omitempty"`
 	Worker string `json:"worker"`
 }
 
@@ -125,27 +123,6 @@ type LeaseRef struct {
 // late ack.
 type HeartbeatResponse struct {
 	Lost []string `json:"lost,omitempty"`
-}
-
-// ManifestRequest pre-registers cells so Status can report campaign
-// totals before the first claim arrives. It is advisory: claims for
-// unregistered keys register them on the fly, because grids with
-// data-dependent cells cannot be enumerated up front.
-type ManifestRequest struct {
-	Cells []ManifestCell `json:"cells"`
-}
-
-// ManifestCell names one expected cell.
-type ManifestCell struct {
-	Key   string `json:"key"`
-	Label string `json:"label,omitempty"`
-}
-
-// ManifestResponse reports how many cells were newly registered and how
-// many were already known.
-type ManifestResponse struct {
-	Registered int `json:"registered"`
-	Known      int `json:"known"`
 }
 
 // DefaultWorkerID derives a fleet-unique worker identity from the host

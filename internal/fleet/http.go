@@ -1,4 +1,4 @@
-// The coordinator's HTTP surface: five POST endpoints taking small JSON
+// The coordinator's HTTP surface: four POST endpoints taking small JSON
 // bodies plus a GET status page, all under PathPrefix. The handler is
 // mounted beside labcached's cell store (one process serves both the
 // results and the leases); auth is layered on top by the caller via
@@ -9,12 +9,13 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
-	"strings"
 )
 
-// maxBody bounds request bodies. Manifests are the largest payload: a
-// full paper grid is a few hundred cells × ~100 bytes, far under this.
+// maxBody bounds request and response bodies. A heartbeat is the largest
+// payload: one ~90-byte lease reference per cell the worker holds, which
+// is at most one per executor worker — a few KiB, far under this.
 const maxBody = 1 << 20
 
 // NewHandler serves c under PathPrefix.
@@ -48,13 +49,6 @@ func NewHandler(c *Coordinator) http.Handler {
 		}
 		reply(w, c.Heartbeat(req))
 	})
-	mux.HandleFunc(PathPrefix+"manifest", func(w http.ResponseWriter, r *http.Request) {
-		var req ManifestRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		reply(w, c.Manifest(req))
-	})
 	mux.HandleFunc(PathPrefix+"status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -74,12 +68,11 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(v); err != nil {
-		msg := err.Error()
 		code := http.StatusBadRequest
-		if strings.Contains(msg, "request body too large") {
+		if errors.As(err, new(*http.MaxBytesError)) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		http.Error(w, "bad request: "+msg, code)
+		http.Error(w, "bad request: "+err.Error(), code)
 		return false
 	}
 	return true

@@ -112,12 +112,11 @@ func init() {
 // skipping both the segment read and the gob decode — then the disk
 // segments, then the remote cache. Any failure — no cache, a miss, an
 // unregistered type name, a decode error, a sick remote server — reports
-// a miss and lets the cell recompute. A disk record that decodes no
-// longer (a payload encoding from before an incompatible type change) is
-// invalidated so the recomputed result can replace it; an unknown type
-// name is left alone, since a different binary sharing the directory may
-// still decode it. The tier return distinguishes the tiers for Stats
-// (tierHot, tierDisk or tierRemote).
+// a miss and lets the cell recompute. A record of either tier that does
+// not decode is counted in Stats.DecodeFailures; a disk one (a payload
+// encoding from before an incompatible type change) is also invalidated
+// so the recomputed result can replace it. The tier return distinguishes
+// the tiers for Stats (tierHot, tierDisk or tierRemote).
 func (e *Executor) cacheGet(key Key) (v any, tier int, ok bool) {
 	if e.cache != nil {
 		if v, ok := e.cache.GetDecoded(string(key)); ok {
@@ -131,6 +130,7 @@ func (e *Executor) cacheGet(key Key) (v any, tier int, ok bool) {
 				e.cache.AddDecoded(string(key), v, int64(len(payload)))
 				return v, tierDisk, true
 			}
+			e.decodeFailures.Add(1)
 			e.cache.Invalidate(string(key))
 		}
 	}
@@ -147,6 +147,7 @@ func (e *Executor) cacheGet(key Key) (v any, tier int, ok bool) {
 				}
 				return v, tierRemote, true
 			}
+			e.decodeFailures.Add(1)
 		}
 	}
 	return nil, 0, false
@@ -225,16 +226,17 @@ func (e *Executor) Cache() *store.Store { return e.cache }
 func (e *Executor) Remote() *remote.Client { return e.remote }
 
 // OpenRemote resolves a -cache-url / $ACTIVEMEM_CACHE_URL setting into a
-// remote-tier client under the current ResultSchemaVersion, with tuning
-// knobs from the environment (remote.OptionsFromEnv). An empty URL
-// returns (nil, nil): no remote tier. The only error is a malformed URL;
-// a server that is down, slow or wrong merely degrades every lookup to a
-// miss at runtime.
+// remote-tier client under the current ResultSchemaVersion, with the
+// default deadline, retry and breaker budget and the bearer token from
+// $ACTIVEMEM_CACHE_TOKEN. An empty URL returns (nil, nil): no remote
+// tier. The only error is a malformed URL; a server that is down, slow or
+// wrong merely degrades every lookup to a miss at runtime.
 func OpenRemote(urlStr string) (*remote.Client, error) {
 	if urlStr == "" {
 		return nil, nil
 	}
-	return remote.New(remote.OptionsFromEnv(urlStr, ResultSchemaVersion))
+	return remote.New(remote.Options{
+		BaseURL: urlStr, Schema: ResultSchemaVersion, AuthToken: remote.TokenFromEnv()})
 }
 
 // DefaultHotBytes is the in-memory hot-set budget labcached opens its
@@ -309,14 +311,19 @@ func (e *Executor) StoreOpsSummary() string {
 // PrintCacheSummary writes the cache epilogue every CLI prints to w. The
 // "cache:" line, the memo and compute mix, is always printed; the store and
 // remote lines follow when those tiers are attached. The "cache:" line is
-// parsed by CI's resume-smoke step — new facts go on their own lines after
-// it.
+// parsed by CI's resume-smoke step, so its keys keep their order; a
+// nonzero decode_failures count is appended at its end.
 func (e *Executor) PrintCacheSummary(w io.Writer) {
+	line := e.CacheSummary()
 	if e.cache != nil {
-		fmt.Fprintf(w, "%s entries=%d dir=%s\n", e.CacheSummary(), e.cache.Len(), e.cache.Dir())
+		line += fmt.Sprintf(" entries=%d dir=%s", e.cache.Len(), e.cache.Dir())
+	}
+	if n := e.decodeFailures.Load(); n > 0 {
+		line += fmt.Sprintf(" decode_failures=%d", n)
+	}
+	fmt.Fprintf(w, "%s\n", line)
+	if e.cache != nil {
 		fmt.Fprintf(w, "%s\n", e.StoreOpsSummary())
-	} else {
-		fmt.Fprintf(w, "%s\n", e.CacheSummary())
 	}
 	if e.remote != nil {
 		fmt.Fprintf(w, "%s\n", e.RemoteSummary())

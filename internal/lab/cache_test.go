@@ -2,6 +2,7 @@ package lab
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,68 @@ func TestDiskTierResumes(t *testing.T) {
 	if s := e2.Stats(); s.Hits != 1 || s.DiskHits != 1 {
 		t.Fatalf("stats after memory hit = %+v", s)
 	}
+}
+
+// TestUndecodableDiskRecordIsCountedMiss: a disk record that no longer
+// decodes is counted, invalidated and recomputed, and the recomputed
+// value replaces it.
+func TestUndecodableDiskRecordIsCountedMiss(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	key := KeyOf("cell", 2)
+	if _, err := st.Put(string(key), "lab.cacheResult", []byte("not a gob stream")); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Cache: st})
+	want := cacheResult{A: 2}
+	got, err := Memo(e, key, func() (cacheResult, error) { return want, nil })
+	if err != nil || got.A != want.A {
+		t.Fatalf("Memo = %+v, %v", got, err)
+	}
+	if s := e.Stats(); s.DecodeFailures != 1 || s.DiskHits != 0 || s.Computed != 1 || s.Persisted != 1 {
+		t.Fatalf("stats = %+v, want 1 decode failure, 1 computed and persisted", s)
+	}
+}
+
+// FuzzDecodePayload feeds the codec registry arbitrary type names and
+// bytes, as a corrupt segment or a hostile cache server could. It must
+// never panic, and it answers either a miss or a value of exactly the
+// type registered under that name.
+func FuzzDecodePayload(f *testing.F) {
+	for name, v := range map[string]any{
+		"lab.cacheResult": cacheResult{A: 7, B: 0.1 + 0.2, C: []float64{1.5, -0}},
+		"go.float64":      2.8e9,
+		"go.int":          -3,
+		"go.int64":        int64(1) << 40,
+		"go.string":       "§III-A",
+		"go.bool":         true,
+	} {
+		p, err := codecByName[name].encode(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(name, p)
+		f.Add(name, p[:len(p)/2])
+		f.Add("lab.cacheResult", p)
+	}
+	f.Add("no.such.Type", []byte{})
+	f.Add("", []byte("not a gob stream"))
+	f.Fuzz(func(t *testing.T, typeName string, payload []byte) {
+		v, ok := decodePayload(typeName, payload)
+		if !ok {
+			if v != nil {
+				t.Fatalf("miss carried a value %#v", v)
+			}
+			return
+		}
+		c := codecByName[typeName]
+		if c == nil {
+			t.Fatalf("unregistered type %q decoded to %T", typeName, v)
+		}
+		if reflect.TypeOf(v) != c.typ {
+			t.Fatalf("%q decoded to %T, want %v", typeName, v, c.typ)
+		}
+	})
 }
 
 // TestDiskTierScalar pins the built-in scalar codecs (the §III-A ladder

@@ -14,8 +14,6 @@ package lab
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"activemem/internal/fleet"
@@ -23,7 +21,9 @@ import (
 )
 
 // OpenFleet resolves a -worker-of / $ACTIVEMEM_FLEET_URL setting into a
-// coordinator link with tuning knobs from the environment
+// coordinator link with the default deadline, retry and breaker budget;
+// the worker identity ($ACTIVEMEM_FLEET_WORKER) and bearer token
+// ($ACTIVEMEM_CACHE_TOKEN) come from the environment
 // (fleet.ClientOptionsFromEnv). An empty URL returns (nil, nil): no
 // fleet. The only error is a malformed URL; a coordinator that is down
 // or flapping merely degrades claims to solo compute at runtime.
@@ -37,49 +37,17 @@ func OpenFleet(urlStr string) (*fleet.Client, error) {
 // Fleet returns the executor's coordinator link, or nil.
 func (e *Executor) Fleet() *fleet.Client { return e.fleet }
 
-// cellLabels maps goroutine id → batch label while a labelled cell runs
-// with a fleet attached; see Executor.runCell. A process-wide table is
-// correct because a goroutine runs one cell at a time regardless of how
-// many executors exist.
-var cellLabels sync.Map
-
-// goid parses this goroutine's id from the first stack-trace line
-// ("goroutine N [running]:"). The one-line runtime.Stack call costs
-// tens of nanoseconds against a claim RPC's milliseconds, and only runs
-// on the fleet path.
-func goid() uint64 {
-	var buf [40]byte
-	n := runtime.Stack(buf[:], false)
-	var id uint64
-	for _, c := range buf[len("goroutine "):n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// cellLabel returns the batch label parked for this goroutine, if any.
-func (e *Executor) cellLabel() string {
-	if v, ok := cellLabels.Load(goid()); ok {
-		return v.(string)
-	}
-	return ""
-}
-
 // fleetResolve resolves one cache-missed cell through the coordinator.
 // It is called inside the memo entry's once, so at most one goroutine
 // per process negotiates any given key. The return values slot straight
 // into Do's tier accounting: ran means fn executed here, otherwise tier
 // names the cache tier that served the bytes.
 func (e *Executor) fleetResolve(key Key, fn func() (any, error)) (v any, err error, tier int, ran, wrote bool) {
-	label := e.cellLabel()
 	for {
 		if e.interrupted.Load() {
 			return nil, ErrInterrupted, 0, false, false
 		}
-		d := e.fleet.Claim(string(key), label)
+		d := e.fleet.Claim(string(key))
 		switch d.Action {
 		case fleet.ActionRun:
 			v, err = fn()

@@ -54,12 +54,14 @@ func startFleetServer(t *testing.T, fo fleet.Options) (*httptest.Server, *fleet.
 func newFleetClient(t *testing.T, url, worker string, mod func(*fleet.ClientOptions)) *fleet.Client {
 	t.Helper()
 	o := fleet.ClientOptions{
-		BaseURL:          url,
-		Worker:           worker,
-		Timeout:          2 * time.Second,
-		Retries:          -1,
-		BackoffBase:      time.Millisecond,
-		BreakerThreshold: 1000,
+		BaseURL: url,
+		Worker:  worker,
+		LinkOptions: remote.LinkOptions{
+			Timeout:          2 * time.Second,
+			Retries:          -1,
+			BackoffBase:      time.Millisecond,
+			BreakerThreshold: 1000,
+		},
 	}
 	if mod != nil {
 		mod(&o)
@@ -155,7 +157,7 @@ func TestFleetAbandonedLeaseIsReleased(t *testing.T) {
 	crasher := newFleetClient(t, srv.URL, "crasher", func(o *fleet.ClientOptions) {
 		o.HeartbeatEvery = time.Hour
 	})
-	if d := crasher.Claim(string(KeyOf("remote-fault-cell", 0)), "chaos"); d.Action != fleet.ActionRun {
+	if d := crasher.Claim(string(KeyOf("remote-fault-cell", 0))); d.Action != fleet.ActionRun {
 		t.Fatalf("crasher claim = %+v", d)
 	}
 
@@ -190,7 +192,7 @@ func TestFleetStalledCellIsStolen(t *testing.T) {
 	want := baseline(t, cells)
 
 	staller := newFleetClient(t, srv.URL, "staller", nil) // heartbeats at TTL/3
-	if d := staller.Claim(string(KeyOf("remote-fault-cell", 0)), "chaos"); d.Action != fleet.ActionRun {
+	if d := staller.Claim(string(KeyOf("remote-fault-cell", 0))); d.Action != fleet.ActionRun {
 		t.Fatalf("staller claim = %+v", d)
 	}
 

@@ -191,6 +191,10 @@ type Executor struct {
 	// the degraded-but-correct path.
 	fleetSolo atomic.Uint64
 
+	// decodeFailures counts cache records, disk or remote, whose payload
+	// the codec registry could not decode; each one was served as a miss.
+	decodeFailures atomic.Uint64
+
 	// interrupted stops new cells from dispatching (graceful shutdown);
 	// see Interrupt.
 	interrupted atomic.Bool
@@ -285,15 +289,8 @@ func (t poolTask) run() {
 }
 
 // runCell executes one cell under the batch's pprof label, timing the
-// start→done span when telemetry is active. With a fleet attached, the
-// batch label is also parked in the goroutine-keyed label table so the
-// memo layer (Do has no label parameter) can attribute its claims.
+// start→done span when telemetry is active.
 func (e *Executor) runCell(label string, i int, job func(i int) error) error {
-	if e.fleet != nil && label != "" {
-		id := goid()
-		cellLabels.Store(id, label)
-		defer cellLabels.Delete(id)
-	}
 	var err error
 	timed := telemetry.Active()
 	var startNs int64
@@ -593,6 +590,10 @@ type Stats struct {
 	// RemoteHits is the number of Do calls served from the remote cache
 	// tier (a verified network fetch plus a decode).
 	RemoteHits int
+	// DecodeFailures is the number of disk or remote records whose
+	// checksum held but whose payload did not decode into its registered
+	// type; each was treated as a miss and its cell recomputed.
+	DecodeFailures int
 	// Persisted is the number of computed results written to the store.
 	Persisted int
 	// WorkerSpawns is the number of resident worker goroutines spawned over
@@ -609,7 +610,8 @@ type Stats struct {
 func (e *Executor) Stats() Stats {
 	e.mu.Lock()
 	st := Stats{Computed: e.computed, Hits: e.hits, DiskHits: e.diskHits,
-		HotHits: e.hotHits, RemoteHits: e.remoteHits, Persisted: e.persisted}
+		HotHits: e.hotHits, RemoteHits: e.remoteHits, Persisted: e.persisted,
+		DecodeFailures: int(e.decodeFailures.Load())}
 	e.mu.Unlock()
 	e.poolMu.Lock()
 	st.WorkerSpawns, st.GroupReuses = e.spawns, e.reuses

@@ -10,8 +10,10 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -89,15 +91,17 @@ func startCacheServer(t *testing.T) (*httptest.Server, *store.Store) {
 func newRemoteClient(t *testing.T, url string, mod func(*remote.Options)) *remote.Client {
 	t.Helper()
 	o := remote.Options{
-		BaseURL:          url,
-		Schema:           ResultSchemaVersion,
-		Timeout:          2 * time.Second,
-		Retries:          -1, // none
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       4 * time.Millisecond,
-		BreakerThreshold: 1000,
-		BreakerCooldown:  time.Minute,
-		DrainTimeout:     5 * time.Second,
+		BaseURL: url,
+		Schema:  ResultSchemaVersion,
+		LinkOptions: remote.LinkOptions{
+			Timeout:          2 * time.Second,
+			Retries:          -1, // none
+			BackoffBase:      time.Millisecond,
+			BackoffMax:       4 * time.Millisecond,
+			BreakerThreshold: 1000,
+			BreakerCooldown:  time.Minute,
+		},
+		DrainTimeout: 5 * time.Second,
 	}
 	if mod != nil {
 		mod(&o)
@@ -338,6 +342,38 @@ func TestCampaignCorruptBodiesAreMisses(t *testing.T) {
 	}
 	if rs := c.Stats(); rs.Corrupt != cells {
 		t.Fatalf("client stats = %+v, want %d corrupt bodies counted", rs, cells)
+	}
+}
+
+// A body whose checksum holds but whose payload is not a gob of its
+// registered type is a counted decode failure and a miss: the cell
+// recomputes, the campaign stays bit-identical, and the epilogue says so.
+func TestRemoteUndecodablePayloadIsCountedMiss(t *testing.T) {
+	const cells = 4
+	want := baseline(t, cells)
+	garbage := []byte("not a gob stream")
+	var served atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || served.Swap(true) {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set(remote.HeaderType, "lab.cacheResult")
+		w.Header().Set(remote.HeaderChecksum, remote.Checksum(garbage))
+		w.Write(garbage)
+	}))
+	defer srv.Close()
+
+	c := newRemoteClient(t, srv.URL, nil)
+	ex := New(Config{Workers: 1, Remote: c})
+	wantIdentical(t, runCampaign(t, ex, cells), want)
+	if s := ex.Stats(); s.DecodeFailures != 1 || s.RemoteHits != 0 || s.Computed != cells {
+		t.Fatalf("stats = %+v, want 1 decode failure, 0 remote hits, %d computed", s, cells)
+	}
+	var b strings.Builder
+	ex.PrintCacheSummary(&b)
+	if line, _, _ := strings.Cut(b.String(), "\n"); !strings.HasSuffix(line, " decode_failures=1") {
+		t.Fatalf("cache line = %q, want decode_failures=1 at its end", line)
 	}
 }
 

@@ -1,12 +1,11 @@
-// The circuit breaker shared by every remote-facing client in this
-// repository (the memo-tier cache client here, the fleet coordinator
-// client in internal/fleet). A sick server must cost a campaign at most
-// one deadline budget per probe window, not one per cell: after
-// Threshold consecutive failures the breaker opens and requests
-// fast-fail locally (a counted miss, no dial, no deadline spent) until
-// Cooldown elapses; then exactly one probe request is let through
-// half-open — its success closes the breaker, its failure re-opens the
-// window.
+// The circuit breaker inside every Link (link.go), so both the memo-tier
+// cache client and the fleet coordinator client use it. A sick server
+// must cost a campaign at most one deadline budget per probe window, not
+// one per cell: after threshold consecutive failures the breaker opens
+// and requests fast-fail locally (a counted miss, no dial, no deadline
+// spent) until cooldown elapses; then exactly one probe request is let
+// through half-open — its success closes the breaker, its failure
+// re-opens the window.
 
 package remote
 
@@ -17,16 +16,17 @@ import (
 	"activemem/internal/telemetry"
 )
 
-// Breaker states, exported as the remote_breaker_state gauge.
+// Breaker states, exported as the remote_breaker_state and
+// fleet_client_breaker_state gauges.
 const (
 	BreakerClosed   = 0
 	BreakerHalfOpen = 1
 	BreakerOpen     = 2
 )
 
-// Breaker is a closed→open→half-open circuit breaker. Construct with
-// NewBreaker; the zero value is not ready for use.
-type Breaker struct {
+// breaker is a closed→open→half-open circuit breaker. Construct with
+// newBreaker; the zero value is not ready for use.
+type breaker struct {
 	threshold int           // consecutive failures that open the breaker
 	cooldown  time.Duration // open duration before a half-open probe
 
@@ -40,23 +40,18 @@ type Breaker struct {
 	gauge *telemetry.Gauge   // state gauge, may be nil
 }
 
-// NewBreaker returns a breaker that opens after threshold consecutive
+// newBreaker returns a breaker that opens after threshold consecutive
 // failures and probes again after cooldown. The optional instruments
 // (either may be nil) receive open transitions and state changes, so each
 // client family exposes its own breaker series.
-func NewBreaker(threshold int, cooldown time.Duration, opens *telemetry.Counter, state *telemetry.Gauge) *Breaker {
+func newBreaker(threshold int, cooldown time.Duration, opens *telemetry.Counter, state *telemetry.Gauge) *breaker {
 	if threshold <= 0 {
 		threshold = 1
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, opens: opens, gauge: state}
+	return &breaker{threshold: threshold, cooldown: cooldown, opens: opens, gauge: state}
 }
 
-// newBreaker binds the remote tier's own metric instruments.
-func newBreaker(threshold int, cooldown time.Duration) *Breaker {
-	return NewBreaker(threshold, cooldown, mBreakerOpens, mBreakerState)
-}
-
-func (b *Breaker) setGauge(v int64) {
+func (b *breaker) setGauge(v int64) {
 	if b.gauge != nil {
 		b.gauge.Set(v)
 	}
@@ -66,7 +61,7 @@ func (b *Breaker) setGauge(v int64) {
 // returns false until the cooldown has elapsed, then admits a single
 // half-open probe; concurrent callers during the probe keep fast-failing,
 // so a struggling server sees one request per window, not a stampede.
-func (b *Breaker) Allow() bool {
+func (b *breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -87,7 +82,7 @@ func (b *Breaker) Allow() bool {
 // Success records a request that completed against the server (any
 // protocol-level answer, including 404 — the server is healthy even when
 // the cache is cold).
-func (b *Breaker) Success() {
+func (b *breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures = 0
@@ -100,7 +95,7 @@ func (b *Breaker) Success() {
 // Failure records a connection-level failure, timeout, server error or
 // corrupt body. A failing half-open probe re-opens immediately; while
 // closed, Threshold consecutive failures open the breaker.
-func (b *Breaker) Failure() {
+func (b *breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerHalfOpen {
@@ -117,7 +112,7 @@ func (b *Breaker) Failure() {
 }
 
 // open transitions to the open state. Callers hold b.mu.
-func (b *Breaker) open() {
+func (b *breaker) open() {
 	b.state = BreakerOpen
 	b.failures = 0
 	b.openedAt = time.Now()
@@ -129,14 +124,14 @@ func (b *Breaker) open() {
 }
 
 // State returns the current breaker state constant.
-func (b *Breaker) State() int {
+func (b *breaker) State() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
 }
 
 // Opens returns how many times the breaker has opened.
-func (b *Breaker) Opens() uint64 {
+func (b *breaker) Opens() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.openCount

@@ -2,18 +2,13 @@
 // infallible by design: Get answers (typeName, payload, ok) and PutAsync
 // answers nothing, because the only correct reaction to any remote
 // failure is a local cache miss. The failure modes are contained by
-// four mechanisms, outermost first:
-//
-//   - single-flight: concurrent fetches of one key collapse into one
-//     request; waiters share the verified payload.
-//   - circuit breaker: consecutive failed calls open it, after which
-//     requests fast-fail locally until a cooldown and a half-open probe.
-//   - bounded retries: idempotent GETs (and connection-level PUT
-//     failures, where the request provably never changed server state)
-//     retry with exponential backoff plus jitter; everything else fails
-//     the call immediately.
-//   - per-attempt deadlines: no request, however stalled the server,
-//     holds a cell longer than Timeout × (1 + Retries) plus backoff.
+// single-flight — concurrent fetches of one key collapse into one
+// request, and waiters share the verified payload — and by the Link
+// (link.go) every request goes through: per-attempt deadlines, bounded
+// jittered retries and a circuit breaker. The retry policy is per verb:
+// a GET retries on dial errors, torn bodies and 5xx; a PUT only on
+// connection-level failures, where the request provably never changed
+// server state.
 //
 // Bodies are verified against their CRC-32 header before anything may
 // decode them — a corrupt payload is a counted miss, never a result —
@@ -26,21 +21,21 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
-	"net/url"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"activemem/internal/telemetry"
 )
+
+// putQueue bounds the asynchronous write-back queue; when full, further
+// write-backs are counted and dropped.
+const putQueue = 256
 
 // Options parameterises a Client. The zero value of every tuning field
 // selects the default documented on it; BaseURL and Schema are required.
@@ -53,29 +48,11 @@ type Options struct {
 	// disagrees answers 412 and the tier disables itself.
 	Schema string
 
-	// Timeout bounds each request attempt (default 2s). This is the
-	// client's deadline budget: no cell ever waits on the remote tier
-	// longer than Timeout×(1+Retries) plus backoff sleeps.
-	Timeout time.Duration
-	// Retries is the number of re-attempts after a retryable failure
-	// (default 2). Only idempotent GETs and connection-level PUT failures
-	// retry.
-	Retries int
-	// BackoffBase/BackoffMax shape the exponential backoff between
-	// retries (defaults 50ms and 1s); each sleep is jittered in
-	// [d/2, d].
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// LinkOptions tunes the deadline, retry and breaker budget shared
+	// with the fleet client. No cell ever waits on the remote tier longer
+	// than Timeout×(1+Retries) plus backoff sleeps.
+	LinkOptions
 
-	// BreakerThreshold is the number of consecutive failed calls that
-	// open the circuit breaker (default 3). BreakerCooldown is how long
-	// it stays open before a half-open probe (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// PutQueue bounds the asynchronous write-back queue (default 256
-	// results); when full, further write-backs are counted and dropped.
-	PutQueue int
 	// DrainTimeout bounds how long Close waits for queued write-backs
 	// (default 2s).
 	DrainTimeout time.Duration
@@ -88,73 +65,12 @@ type Options struct {
 	AuthToken string
 }
 
-func (o *Options) withDefaults() {
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Second
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	if o.PutQueue <= 0 {
-		o.PutQueue = 256
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 2 * time.Second
-	}
-}
-
-// OptionsFromEnv builds Options for baseURL and schema, letting the
-// environment override the tuning knobs:
-//
-//	ACTIVEMEM_REMOTE_TIMEOUT            per-attempt deadline (Go duration)
-//	ACTIVEMEM_REMOTE_RETRIES            re-attempts after a retryable failure
-//	ACTIVEMEM_REMOTE_BREAKER_THRESHOLD  consecutive failures that open the breaker
-//	ACTIVEMEM_REMOTE_BREAKER_COOLDOWN   open duration before a probe (Go duration)
-//	ACTIVEMEM_CACHE_TOKEN               shared-secret bearer token
-//
-// Unset or unparsable variables keep the defaults.
-func OptionsFromEnv(baseURL, schema string) Options {
-	o := Options{BaseURL: baseURL, Schema: schema, AuthToken: TokenFromEnv()}
-	if d, err := time.ParseDuration(os.Getenv("ACTIVEMEM_REMOTE_TIMEOUT")); err == nil && d > 0 {
-		o.Timeout = d
-	}
-	if n, err := strconv.Atoi(os.Getenv("ACTIVEMEM_REMOTE_RETRIES")); err == nil && n >= 0 {
-		o.Retries = n
-		if n == 0 {
-			o.Retries = -1 // withDefaults maps 0 to the default; -1 means "no retries"
-		}
-	}
-	if n, err := strconv.Atoi(os.Getenv("ACTIVEMEM_REMOTE_BREAKER_THRESHOLD")); err == nil && n > 0 {
-		o.BreakerThreshold = n
-	}
-	if d, err := time.ParseDuration(os.Getenv("ACTIVEMEM_REMOTE_BREAKER_COOLDOWN")); err == nil && d > 0 {
-		o.BreakerCooldown = d
-	}
-	return o
-}
-
 // Client is a fault-tolerant handle on one labcached server. Safe for
 // concurrent use by any number of executor workers.
 type Client struct {
-	base   string
-	schema string
-	opts   Options
-	hc     *http.Client
-	br     *Breaker
+	schema       string
+	drainTimeout time.Duration
+	link         *Link
 
 	flightMu sync.Mutex
 	flight   map[string]*flightCall
@@ -165,16 +81,11 @@ type Client struct {
 	closed    atomic.Bool
 	closeOnce sync.Once
 
-	schemaBad atomic.Bool
-	warnOnce  sync.Once
-	authBad   atomic.Bool
-	authOnce  sync.Once
-
 	// Per-client counters backing Stats (the /metrics families in
 	// metrics.go are process-wide and aggregate across clients).
-	nGets, nHits, nMisses, nNotMod   atomic.Uint64
+	nGets, nHits, nMisses            atomic.Uint64
 	nErrors, nCorrupt, nSchemaMiss   atomic.Uint64
-	nFastFails, nRetries             atomic.Uint64
+	nFastFails                       atomic.Uint64
 	nPutsStored, nPutsExists         atomic.Uint64
 	nPutErrors, nPutsDropped         atomic.Uint64
 	nPutsShed                        atomic.Uint64
@@ -193,45 +104,36 @@ type putJob struct {
 	payload       []byte
 }
 
-// New returns a client for the server at o.BaseURL. The only error is a
-// malformed URL — everything that can go wrong at runtime degrades to
-// cache misses instead.
+// New returns a client for the server at o.BaseURL. The only errors are
+// a malformed URL and an empty schema — everything that can go wrong at
+// runtime degrades to cache misses instead.
 func New(o Options) (*Client, error) {
-	o.withDefaults()
-	base := o.BaseURL
-	if base == "" {
-		return nil, fmt.Errorf("remote: empty base URL")
-	}
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	u, err := url.Parse(base)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return nil, fmt.Errorf("remote: invalid cache URL %q", o.BaseURL)
-	}
-	base = strings.TrimRight(base, "/")
 	if o.Schema == "" {
 		return nil, fmt.Errorf("remote: empty schema version")
 	}
+	link, err := NewLink(o.BaseURL, o.AuthToken, "remote: cache", "remote tier disabled for this run",
+		o.LinkOptions, LinkMetrics{Retries: mRetries, BreakerOpens: mBreakerOpens, BreakerState: mBreakerState})
+	if err != nil {
+		return nil, err
+	}
+	if o.DrainTimeout <= 0 {
+		o.DrainTimeout = 2 * time.Second
+	}
 	c := &Client{
-		base:   base,
-		schema: o.Schema,
-		opts:   o,
-		// The transport-level timeout stays off: per-attempt contexts carry
-		// the deadline so retries get a fresh budget each.
-		hc:        &http.Client{},
-		br:        newBreaker(o.BreakerThreshold, o.BreakerCooldown),
-		flight:    map[string]*flightCall{},
-		putCh:     make(chan putJob, o.PutQueue),
-		drainReq:  make(chan struct{}),
-		drainDone: make(chan struct{}),
+		schema:       o.Schema,
+		drainTimeout: o.DrainTimeout,
+		link:         link,
+		flight:       map[string]*flightCall{},
+		putCh:        make(chan putJob, putQueue),
+		drainReq:     make(chan struct{}),
+		drainDone:    make(chan struct{}),
 	}
 	go c.putWorker()
 	return c, nil
 }
 
 // BaseURL returns the normalised server URL.
-func (c *Client) BaseURL() string { return c.base }
+func (c *Client) BaseURL() string { return c.link.Base() }
 
 // Get fetches key's record. A false report means "not available from the
 // remote tier right now" for any reason — miss, dead server, timeout,
@@ -242,7 +144,7 @@ func (c *Client) Get(key string) (typeName string, payload []byte, ok bool) {
 		return "", nil, false
 	}
 	c.nGets.Add(1)
-	if c.schemaBad.Load() || c.authBad.Load() {
+	if c.link.disabled.Load() {
 		c.nSchemaMiss.Add(1)
 		mGets[getSchemaMiss].Inc()
 		return "", nil, false
@@ -268,149 +170,103 @@ func (c *Client) Get(key string) (typeName string, payload []byte, ok bool) {
 	return f.typeName, f.payload, f.ok
 }
 
-// Attempt outcomes.
+// Answers a cell response can carry, as read by the GET and PUT
+// classifiers.
 const (
-	outHit = iota
-	outMiss
-	outNotModified
-	outSchemaMiss
-	outUnauthorized // 401: credential rejected; the tier disables itself
-	outCorrupt      // body arrived but cannot be trusted; retrying won't help
-	outRetry        // connection-level failure, timeout, torn body, 5xx
-	outFail         // unexpected but definitive answer (other 4xx)
+	outHit        = iota // GET 200 with a verified body; PUT 201 stored
+	outMiss              // GET 404; PUT 200 already present
+	outSchemaMiss        // 412: the server speaks another schema generation
+	outCorrupt           // body arrived but cannot be trusted; retrying won't help
+	outFail              // unexpected but definitive answer
 )
 
-// getCall runs one logical GET: breaker gate, attempt loop with backoff,
-// outcome accounting.
+// getCall runs one logical GET through the link and accounts its outcome.
 func (c *Client) getCall(key string) (string, []byte, bool) {
-	if !c.br.Allow() {
-		c.nFastFails.Add(1)
-		mGets[getBreakerOpen].Inc()
-		return "", nil, false
-	}
+	var typeName string
+	var body []byte
+	out := outFail
 	timed := telemetry.Active()
 	var startNs int64
 	if timed {
 		startNs = telemetry.NowNs()
 	}
-	defer func() {
-		if timed {
-			mGetSeconds.Observe(telemetry.NowNs() - startNs)
+	res := c.link.Do(func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.link.Base()+CellPathPrefix+key, nil)
+		if err == nil {
+			req.Header.Set(HeaderSchema, c.schema)
 		}
-	}()
-	for attempt := 0; ; attempt++ {
-		typeName, payload, out := c.getOnce(key)
-		switch out {
-		case outHit:
-			c.br.Success()
-			c.nHits.Add(1)
-			mGets[getHit].Inc()
-			return typeName, payload, true
-		case outMiss:
-			c.br.Success() // the server answered; a cold cache is healthy
-			c.nMisses.Add(1)
-			mGets[getMiss].Inc()
-			return "", nil, false
-		case outNotModified:
-			c.br.Success()
-			c.nNotMod.Add(1)
-			mGets[getNotModified].Inc()
-			return "", nil, false
-		case outSchemaMiss:
-			c.br.Success()
-			c.noteSchemaMismatch()
-			c.nSchemaMiss.Add(1)
-			mGets[getSchemaMiss].Inc()
-			return "", nil, false
-		case outUnauthorized:
-			c.br.Success() // the server is healthy; our credential is not
-			c.noteUnauthorized()
-			c.nErrors.Add(1)
-			mGets[getError].Inc()
-			return "", nil, false
-		case outCorrupt:
-			c.br.Failure()
-			c.nCorrupt.Add(1)
-			mGets[getCorrupt].Inc()
-			return "", nil, false
-		case outFail:
-			c.br.Failure()
-			c.nErrors.Add(1)
-			mGets[getError].Inc()
-			return "", nil, false
-		default: // outRetry
-			if attempt >= c.opts.Retries {
-				c.br.Failure()
-				c.nErrors.Add(1)
-				mGets[getError].Inc()
-				return "", nil, false
-			}
-			c.nRetries.Add(1)
-			mRetries.Inc()
-			time.Sleep(c.backoff(attempt))
-		}
+		return req, err
+	}, func(resp *http.Response) Verdict {
+		var v Verdict
+		typeName, body, out, v = readCell(resp)
+		return v
+	})
+	switch res {
+	case CallFastFailed:
+		c.nFastFails.Add(1)
+		mGets[getBreakerOpen].Inc()
+		return "", nil, false
+	case CallDisabled:
+		c.nSchemaMiss.Add(1)
+		mGets[getSchemaMiss].Inc()
+		return "", nil, false
 	}
+	if timed {
+		mGetSeconds.Observe(telemetry.NowNs() - startNs)
+	}
+	if res != CallDone {
+		out = outFail // retries spent, or a 401
+	}
+	switch out {
+	case outHit:
+		c.nHits.Add(1)
+		mGets[getHit].Inc()
+		return typeName, body, true
+	case outMiss:
+		c.nMisses.Add(1)
+		mGets[getMiss].Inc()
+	case outSchemaMiss:
+		c.noteSchemaMismatch()
+		c.nSchemaMiss.Add(1)
+		mGets[getSchemaMiss].Inc()
+	case outCorrupt:
+		c.nCorrupt.Add(1)
+		mGets[getCorrupt].Inc()
+	default:
+		c.nErrors.Add(1)
+		mGets[getError].Inc()
+	}
+	return "", nil, false
 }
 
-// getOnce performs one GET attempt under its own deadline. ifNoneMatch
-// threads the conditional-request validator for revalidation callers
-// (and the protocol tests); the memo tier passes none.
-func (c *Client) getOnce(key string) (string, []byte, int) {
-	return c.getOnceConditional(key, "")
-}
-
-func (c *Client) getOnceConditional(key, ifNoneMatch string) (string, []byte, int) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+CellPathPrefix+key, nil)
-	if err != nil {
-		return "", nil, outFail
-	}
-	req.Header.Set(HeaderSchema, c.schema)
-	if c.opts.AuthToken != "" {
-		req.Header.Set("Authorization", "Bearer "+c.opts.AuthToken)
-	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", nil, outRetry // dial/timeout/reset: never reached a verdict
-	}
-	defer func() {
-		// Drain a little so the connection can be reused, then close.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-	}()
+// readCell classifies one GET response, reading and verifying the body
+// of a 200.
+func readCell(resp *http.Response) (string, []byte, int, Verdict) {
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		body, err := io.ReadAll(io.LimitReader(resp.Body, MaxPayload+1))
 		if err != nil {
-			return "", nil, outRetry // torn body: connection died mid-transfer
+			return "", nil, outFail, Retry // torn body: connection died mid-transfer
 		}
 		if int64(len(body)) > MaxPayload {
-			return "", nil, outCorrupt
+			return "", nil, outCorrupt, Failed
 		}
 		if cl := resp.ContentLength; cl >= 0 && cl != int64(len(body)) {
-			return "", nil, outRetry // short read the transport didn't flag
+			return "", nil, outFail, Retry // short read the transport didn't flag
 		}
 		typeName := resp.Header.Get(HeaderType)
 		if typeName == "" || !ChecksumMatches(resp.Header.Get(HeaderChecksum), body) {
-			return "", nil, outCorrupt
+			return "", nil, outCorrupt, Failed
 		}
-		return typeName, body, outHit
-	case resp.StatusCode == http.StatusNotModified:
-		return "", nil, outNotModified
+		return typeName, body, outHit, Answered
 	case resp.StatusCode == http.StatusNotFound:
-		return "", nil, outMiss
+		return "", nil, outMiss, Answered // a cold cache is healthy
 	case resp.StatusCode == http.StatusPreconditionFailed:
-		return "", nil, outSchemaMiss
-	case resp.StatusCode == http.StatusUnauthorized:
-		return "", nil, outUnauthorized
+		return "", nil, outSchemaMiss, Refused
 	case resp.StatusCode >= 500:
-		return "", nil, outRetry
+		return "", nil, outFail, Retry
 	default:
-		return "", nil, outFail
+		return "", nil, outFail, Failed
 	}
 }
 
@@ -422,7 +278,7 @@ func (c *Client) PutAsync(key, typeName string, payload []byte) {
 	if c == nil || c.closed.Load() {
 		return
 	}
-	if c.schemaBad.Load() || c.authBad.Load() {
+	if c.link.disabled.Load() {
 		// Count the refusal: these records never reach the server and the
 		// epilogue warns about them, same as the breaker-open sync path.
 		c.nPutsShed.Add(1)
@@ -490,157 +346,73 @@ func (c *Client) Put(key, typeName string, payload []byte) bool {
 // of a content-addressed record is idempotent anyway, but staying within
 // the idempotency argument keeps the retry policy self-evidently safe.)
 func (c *Client) putCall(j putJob) bool {
-	if c.schemaBad.Load() || c.authBad.Load() || !c.br.Allow() {
+	out := outFail
+	timed := telemetry.Active()
+	var startNs int64
+	if timed {
+		startNs = telemetry.NowNs()
+	}
+	res := c.link.Do(func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPut,
+			c.link.Base()+CellPathPrefix+j.key, bytes.NewReader(j.payload))
+		if err == nil {
+			req.Header.Set(HeaderSchema, c.schema)
+			req.Header.Set(HeaderType, j.typeName)
+			req.Header.Set(HeaderChecksum, Checksum(j.payload))
+		}
+		return req, err
+	}, func(resp *http.Response) Verdict {
+		switch resp.StatusCode {
+		case http.StatusCreated:
+			out = outHit
+			return Answered
+		case http.StatusOK:
+			out = outMiss
+			return Answered
+		case http.StatusPreconditionFailed:
+			out = outSchemaMiss
+			return Refused
+		default:
+			// Including 5xx: the server answered, so the transport worked,
+			// but a 5xx PUT may or may not have been applied. Content
+			// addressing makes a replay harmless, yet the bounded-retry
+			// budget is better spent on reads — fail the write-back, the
+			// next campaign will offer the record again.
+			return Failed
+		}
+	})
+	if res == CallFastFailed || res == CallDisabled {
 		// Shed, not dropped: the record never entered the queue race — the
 		// tier itself refused it (disabled or breaker-open).
 		c.nPutsShed.Add(1)
 		mPuts[putShed].Inc()
 		return false
 	}
-	timed := telemetry.Active()
-	var startNs int64
 	if timed {
-		startNs = telemetry.NowNs()
+		mPutSeconds.Observe(telemetry.NowNs() - startNs)
 	}
-	defer func() {
-		if timed {
-			mPutSeconds.Observe(telemetry.NowNs() - startNs)
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		out := c.putOnce(j)
-		switch out {
-		case outHit: // 201 stored
-			c.br.Success()
-			c.nPutsStored.Add(1)
-			mPuts[putStored].Inc()
-			return true
-		case outMiss: // 200 already present
-			c.br.Success()
-			c.nPutsExists.Add(1)
-			mPuts[putExists].Inc()
-			return true
-		case outSchemaMiss:
-			c.br.Success()
-			c.noteSchemaMismatch()
-			c.nPutErrors.Add(1)
-			mPuts[putError].Inc()
-			return false
-		case outUnauthorized:
-			c.br.Success()
-			c.noteUnauthorized()
-			c.nPutErrors.Add(1)
-			mPuts[putError].Inc()
-			return false
-		case outFail:
-			c.br.Failure()
-			c.nPutErrors.Add(1)
-			mPuts[putError].Inc()
-			return false
-		default: // outRetry: connection-level only
-			if attempt >= c.opts.Retries {
-				c.br.Failure()
-				c.nPutErrors.Add(1)
-				mPuts[putError].Inc()
-				return false
-			}
-			c.nRetries.Add(1)
-			mRetries.Inc()
-			time.Sleep(c.backoff(attempt))
-		}
-	}
-}
-
-// putOnce performs one PUT attempt under its own deadline.
-func (c *Client) putOnce(j putJob) int {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.base+CellPathPrefix+j.key, strings.NewReader(string(j.payload)))
-	if err != nil {
-		return outFail
-	}
-	req.ContentLength = int64(len(j.payload))
-	req.Header.Set(HeaderSchema, c.schema)
-	req.Header.Set(HeaderType, j.typeName)
-	req.Header.Set(HeaderChecksum, Checksum(j.payload))
-	if c.opts.AuthToken != "" {
-		req.Header.Set("Authorization", "Bearer "+c.opts.AuthToken)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return outRetry
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-	}()
 	switch {
-	case resp.StatusCode == http.StatusCreated:
-		return outHit
-	case resp.StatusCode == http.StatusOK:
-		return outMiss
-	case resp.StatusCode == http.StatusPreconditionFailed:
-		return outSchemaMiss
-	case resp.StatusCode == http.StatusUnauthorized:
-		return outUnauthorized
-	case resp.StatusCode >= 500:
-		// The server answered, so the transport worked; but a 5xx PUT may
-		// or may not have been applied. Content addressing makes a replay
-		// harmless, yet the bounded-retry budget is better spent on reads —
-		// fail the write-back, the next campaign will offer the record again.
-		return outFail
-	default:
-		return outFail
+	case res == CallDone && out == outHit:
+		c.nPutsStored.Add(1)
+		mPuts[putStored].Inc()
+		return true
+	case res == CallDone && out == outMiss:
+		c.nPutsExists.Add(1)
+		mPuts[putExists].Inc()
+		return true
+	case res == CallDone && out == outSchemaMiss:
+		c.noteSchemaMismatch()
 	}
-}
-
-// backoff returns the jittered exponential delay before retry attempt+1.
-func (c *Client) backoff(attempt int) time.Duration {
-	return JitteredBackoff(c.opts.BackoffBase, c.opts.BackoffMax, attempt)
-}
-
-// JitteredBackoff returns the delay before retry attempt+1 of an
-// exponential-backoff schedule: base<<attempt capped at max, jittered on
-// the upper half ([d/2, d]) so a fleet of workers retrying against one
-// recovering server never synchronises into thundering herds. Shared by
-// this client and the fleet coordinator client.
-func JitteredBackoff(base, max time.Duration, attempt int) time.Duration {
-	d := base << uint(attempt)
-	if d > max || d <= 0 {
-		d = max
-	}
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + rand.N(d/2+1)
+	c.nPutErrors.Add(1)
+	mPuts[putError].Inc()
+	return false
 }
 
 // noteSchemaMismatch disables the tier for the process lifetime and warns
 // once. A server of another schema generation can never serve this
 // process a usable byte, so further requests would be pure overhead.
 func (c *Client) noteSchemaMismatch() {
-	if c.schemaBad.CompareAndSwap(false, true) {
-		c.warnOnce.Do(func() {
-			fmt.Fprintf(os.Stderr,
-				"remote: cache at %s speaks a different result-schema generation than %q; remote tier disabled for this run\n",
-				c.base, c.schema)
-		})
-	}
-}
-
-// noteUnauthorized disables the tier for the process lifetime and warns
-// once, mirroring noteSchemaMismatch: a server that rejects this
-// process's credential will reject every request, so further traffic is
-// pure overhead (and noise in the server's 401 counter).
-func (c *Client) noteUnauthorized() {
-	if c.authBad.CompareAndSwap(false, true) {
-		c.authOnce.Do(func() {
-			fmt.Fprintf(os.Stderr,
-				"remote: cache at %s rejected our auth token (401); remote tier disabled for this run\n",
-				c.base)
-		})
-	}
+	c.link.disable(fmt.Sprintf("speaks a different result-schema generation than %q", c.schema))
 }
 
 // Close drains queued write-backs (bounded by DrainTimeout) and releases
@@ -654,9 +426,9 @@ func (c *Client) Close() {
 		close(c.drainReq)
 		select {
 		case <-c.drainDone:
-		case <-time.After(c.opts.DrainTimeout):
+		case <-time.After(c.drainTimeout):
 		}
-		c.hc.CloseIdleConnections()
+		c.link.Close()
 	})
 }
 
@@ -666,7 +438,6 @@ type Stats struct {
 	Gets             uint64 `json:"gets"`
 	Hits             uint64 `json:"hits"`
 	Misses           uint64 `json:"misses"`
-	NotModified      uint64 `json:"not_modified,omitempty"`
 	Errors           uint64 `json:"errors"`
 	Corrupt          uint64 `json:"corrupt"`
 	SchemaMismatches uint64 `json:"schema_mismatches"`
@@ -692,14 +463,13 @@ func (c *Client) Stats() Stats {
 		Gets:             c.nGets.Load(),
 		Hits:             c.nHits.Load(),
 		Misses:           c.nMisses.Load(),
-		NotModified:      c.nNotMod.Load(),
 		Errors:           c.nErrors.Load(),
 		Corrupt:          c.nCorrupt.Load(),
 		SchemaMismatches: c.nSchemaMiss.Load(),
 		BreakerFastFails: c.nFastFails.Load(),
-		Retries:          c.nRetries.Load(),
-		BreakerOpens:     c.br.Opens(),
-		BreakerState:     c.br.State(),
+		Retries:          c.link.Retries(),
+		BreakerOpens:     c.link.br.Opens(),
+		BreakerState:     c.link.br.State(),
 		SingleflightHits: c.nSingleflightShared.Load(),
 		PutsStored:       c.nPutsStored.Load(),
 		PutsExists:       c.nPutsExists.Load(),

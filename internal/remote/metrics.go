@@ -13,7 +13,6 @@ import "activemem/internal/telemetry"
 const (
 	getHit = iota
 	getMiss
-	getNotModified
 	getError       // connection failure, timeout, 5xx after retries
 	getCorrupt     // body arrived, checksum disagreed — never decoded
 	getBreakerOpen // fast-failed locally, no request sent
@@ -22,7 +21,7 @@ const (
 )
 
 var getOutcomeNames = [numGetOutcomes]string{
-	"hit", "miss", "not_modified", "error", "corrupt", "breaker_open", "schema_mismatch"}
+	"hit", "miss", "error", "corrupt", "breaker_open", "schema_mismatch"}
 
 // Client-side PUT outcomes, the label values of remote_puts_total.
 const (
@@ -71,7 +70,6 @@ func init() {
 const (
 	srvGetHit = iota
 	srvGetMiss
-	srvGetNotModified
 	srvGetSchemaMiss
 	srvPutStored
 	srvPutExists
@@ -83,7 +81,7 @@ const (
 )
 
 var srvOutcomeNames = [numSrvOutcomes]struct{ op, outcome string }{
-	{"get", "hit"}, {"get", "miss"}, {"get", "not_modified"}, {"get", "schema_mismatch"},
+	{"get", "hit"}, {"get", "miss"}, {"get", "schema_mismatch"},
 	{"put", "stored"}, {"put", "exists"}, {"put", "schema_mismatch"},
 	{"any", "bad_request"}, {"any", "error"}, {"any", "unauthorized"},
 }

@@ -3,20 +3,18 @@
 // server.go) and the executor's remote memo tier (the client half,
 // client.go).
 //
-// The protocol is deliberately plain HTTP with conditional-request
-// semantics, because the cache is content-addressed and immutable:
+// The protocol is deliberately plain HTTP, because the cache is
+// content-addressed and immutable:
 //
-//	GET /v1/cell/{key}   -> 200 (body = payload), 304, 404 or 412
+//	GET /v1/cell/{key}   -> 200 (body = payload), 404 or 412
 //	PUT /v1/cell/{key}   -> 201 created, 200 already present, 412, 4xx
 //
 // A cell key fingerprints the full input content of an experiment cell
 // including the result schema version (lab.KeyOf), so a key's bytes can
-// never change: the ETag is the strong pair (key, schema version), every
-// 200/201 is immutable and infinitely cacheable, and a matching
-// If-None-Match always answers 304 with no body. Schema negotiation runs
-// over an explicit header — a client and server of different simulator
-// generations answer 412 Precondition Failed instead of ever exchanging
-// bytes that would decode into wrong results. Payloads carry an explicit
+// never change: every 200 is immutable and infinitely cacheable. Schema
+// negotiation runs over an explicit header — a client and server of
+// different simulator generations answer 412 Precondition Failed instead
+// of ever exchanging bytes that would decode into wrong results. Payloads carry an explicit
 // CRC-32 so both ends verify bodies end to end: a corrupted body is a
 // counted miss, never a decoded result.
 //
@@ -26,8 +24,9 @@
 // corrupt body, schema mismatch — as a cache miss and degrades to
 // compute. A dead, slow, flaky or corrupting server can never fail a
 // campaign, change its bytes, or stall it past the configured deadline
-// budget (per-request deadlines, bounded retries, a circuit breaker that
-// stops asking a sick server entirely).
+// budget. The per-request deadlines, bounded retries and circuit breaker
+// that enforce this live in one place, Link (link.go), which the fleet
+// coordinator client (internal/fleet) reuses.
 package remote
 
 import (
@@ -60,13 +59,6 @@ const (
 	MaxPayload = 1 << 26
 )
 
-// ETagFor renders the strong ETag of a cell: the content address plus the
-// schema generation, quoted per RFC 9110. Results are immutable, so this
-// validator never weakens — a matching If-None-Match is always a 304.
-func ETagFor(key, schema string) string {
-	return `"` + key + "@" + schema + `"`
-}
-
 // Checksum renders a payload's CRC-32 for HeaderChecksum.
 func Checksum(payload []byte) string {
 	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload))
@@ -82,25 +74,6 @@ func ChecksumMatches(header string, payload []byte) bool {
 		return false
 	}
 	return uint32(want) == crc32.ChecksumIEEE(payload)
-}
-
-// etagMatches implements If-None-Match for strong immutable entities: a
-// literal match of any listed validator, or the wildcard.
-func etagMatches(ifNoneMatch, etag string) bool {
-	if ifNoneMatch == "" {
-		return false
-	}
-	for _, cand := range strings.Split(ifNoneMatch, ",") {
-		cand = strings.TrimSpace(cand)
-		// A weak validator prefix cannot weaken an immutable entity: the
-		// bytes behind a key can never differ, so W/"x" and "x" name the
-		// same representation.
-		cand = strings.TrimPrefix(cand, "W/")
-		if cand == "*" || cand == etag {
-			return true
-		}
-	}
-	return false
 }
 
 // cellKey extracts and validates the key of a /v1/cell/ request path.

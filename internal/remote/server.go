@@ -1,12 +1,11 @@
 // The server half of the remote memo tier: an http.Handler over a
 // writable store.Store, mounted by cmd/labcached beside the telemetry
-// handler. Results are immutable and content-addressed, so the handler
-// is a textbook conditional-GET cache: strong ETag (key + schema),
-// If-None-Match → 304 with no body, Cache-Control: immutable, and a 412
-// whenever the peer speaks a different schema generation — wrong-schema
-// bytes never cross the wire in either direction. PUTs are verified
-// against their checksum header before touching the store, so a client
-// (or a middlebox) that corrupts a body cannot poison the shared cache.
+// handler. Results are immutable and content-addressed, so every 200
+// carries Cache-Control: immutable, and a 412 answers whenever the peer
+// speaks a different schema generation — wrong-schema bytes never cross
+// the wire in either direction. PUTs are verified against their checksum
+// header before touching the store, so a client (or a middlebox) that
+// corrupts a body cannot poison the shared cache.
 
 package remote
 
@@ -28,9 +27,6 @@ type Handler struct {
 // NewHandler returns the cell handler for st (which must be writable for
 // PUTs to succeed; a read-only store serves GETs and fails PUTs).
 func NewHandler(st *store.Store) *Handler { return &Handler{st: st} }
-
-// Store returns the handler's backing store.
-func (h *Handler) Store() *store.Store { return h.st }
 
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	key, ok := cellKey(r.URL.Path)
@@ -78,19 +74,12 @@ func (h *Handler) get(w http.ResponseWriter, r *http.Request, key string) {
 		http.Error(w, "cell not cached", http.StatusNotFound)
 		return
 	}
-	etag := ETagFor(key, h.st.Schema())
 	hdr := w.Header()
-	hdr.Set("ETag", etag)
 	// Content addressing makes every 200 immutable: the bytes behind a key
 	// can never change, only vanish (GC) — and a revalidation after that is
 	// a 404, not different bytes.
 	hdr.Set("Cache-Control", "public, max-age=31536000, immutable")
 	hdr.Set(HeaderSchema, h.st.Schema())
-	if etagMatches(r.Header.Get("If-None-Match"), etag) {
-		mSrvRequests[srvGetNotModified].Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
 	hdr.Set(HeaderType, typeName)
 	hdr.Set(HeaderChecksum, Checksum(payload))
 	hdr.Set("Content-Type", "application/octet-stream")
@@ -146,7 +135,6 @@ func (h *Handler) put(w http.ResponseWriter, r *http.Request, key string) {
 		http.Error(w, "store write failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("ETag", ETagFor(key, h.st.Schema()))
 	if added {
 		mSrvRequests[srvPutStored].Inc()
 		w.WriteHeader(http.StatusCreated)
